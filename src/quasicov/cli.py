@@ -7,7 +7,8 @@ when every check passes; usage and parse problems exit 2, resource-cap
 violations exit 3.
 
 Caps default to a group-enumeration limit of 10^4 elements and a
-kernel-matrix limit of 10^6 entries; the environment variables
+matrix limit of 10^6 entries, which covers both the kernel-oracle and the
+fixed-space linear systems; the environment variables
 QUASICOV_MAX_GROUP_ORDER and QUASICOV_MAX_KERNEL_ENTRIES override them.
 """
 
@@ -18,7 +19,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from math import factorial
 
 from .errors import ResourceLimitError
 from .group import (
@@ -29,15 +29,15 @@ from .group import (
 )
 from .groebner import quasi_ideal_basis, standard_monomials
 from .hilbert import (
-    DEFAULT_MAX_KERNEL_ENTRIES,
     kernel_dims_until_zero,
     quotient_series,
     series_from_monomials,
     single_prefactor_series,
 )
+from .linalg import DEFAULT_MAX_MATRIX_ENTRIES
 from .paths import catalan, quotient_basis
-from .polynomials import parse_polynomial, render_polynomial
-from .verify import SUITES, run_suite
+from .polynomials import degree_histogram, parse_polynomial, render_polynomial
+from .verify import SUITES, _check, run_suite
 
 
 @dataclass
@@ -48,21 +48,11 @@ class RunConfig:
     as_json: bool = False
     out: str | None = None
     max_group_order: int = DEFAULT_MAX_GROUP_ORDER
-    max_kernel_entries: int = DEFAULT_MAX_KERNEL_ENTRIES
+    max_kernel_entries: int = DEFAULT_MAX_MATRIX_ENTRIES
 
 
 def _vector_text(nu) -> str:
     return "(" + ",".join(str(e) for e in nu) + ")"
-
-
-def _histogram(vectors) -> list:
-    if not vectors:
-        return []
-    top = max(sum(nu) for nu in vectors)
-    hist = [0] * (top + 1)
-    for nu in vectors:
-        hist[sum(nu)] += 1
-    return hist
 
 
 def _document(config: RunConfig, command: str, result, checks) -> dict:
@@ -75,16 +65,12 @@ def _document(config: RunConfig, command: str, result, checks) -> dict:
     }
 
 
-def _check(name, expected, actual):
-    return {"name": name, "expected": expected, "actual": actual, "pass": expected == actual}
-
-
 def cmd_basis(config: RunConfig) -> dict:
     vectors = quotient_basis(config.n, config.m)
     target = config.m**config.n * catalan(config.n)
     result = {
         "count": len(vectors),
-        "histogram": _histogram(vectors),
+        "histogram": degree_histogram(vectors),
         "monomials": [list(nu) for nu in vectors],
     }
     checks = [_check("count_equals_dimension_formula", target, len(vectors))]
@@ -276,14 +262,17 @@ def _config_from_args(args) -> RunConfig:
         raise ValueError(f"need n >= 1 and m >= 1, got n={args.n}, m={args.m}")
     max_group = int(os.environ.get("QUASICOV_MAX_GROUP_ORDER", DEFAULT_MAX_GROUP_ORDER))
     max_kernel = int(
-        os.environ.get("QUASICOV_MAX_KERNEL_ENTRIES", DEFAULT_MAX_KERNEL_ENTRIES)
+        os.environ.get("QUASICOV_MAX_KERNEL_ENTRIES", DEFAULT_MAX_MATRIX_ENTRIES)
     )
     if max_group < 1 or max_kernel < 1:
         raise ValueError("resource caps must be positive")
+    degree_bound = getattr(args, "degree_bound", None)
+    if degree_bound is not None and degree_bound < 0:
+        raise ValueError(f"--degree-bound must be >= 0, got {degree_bound}")
     return RunConfig(
         n=args.n,
         m=args.m,
-        degree_bound=getattr(args, "degree_bound", None),
+        degree_bound=degree_bound,
         as_json=args.json,
         out=args.out,
         max_group_order=max_group,
@@ -318,8 +307,12 @@ def main(argv=None) -> int:
         return 2
     text = json.dumps(doc, indent=2) if config.as_json else _render_text(doc)
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(config.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
     failed = [c for c in doc["checks"] if not c["pass"]]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 import heapq
 
-from .polynomials import Polynomial, exponent_vectors
+from .polynomials import Polynomial, degree_histogram, exponent_vectors
 from .qsym import elementary_symmetric_power, quasi_invariant_generators
 
 
@@ -43,13 +43,7 @@ class StandardMonomialSet:
     complete: bool
 
     def degree_histogram(self) -> list:
-        if not self.monomials:
-            return []
-        top = max(sum(nu) for nu in self.monomials)
-        hist = [0] * (top + 1)
-        for nu in self.monomials:
-            hist[sum(nu)] += 1
-        return hist
+        return degree_histogram(self.monomials)
 
 
 def _divides(lm, nu) -> bool:
@@ -83,6 +77,9 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
                     if mu == lm:
                         continue
                     key = tuple(a + b - l for a, b, l in zip(nu, mu, lm))
+                    # Unlike Polynomial arithmetic, this loop must drop a
+                    # cancelled term at once: it pops max(work), so a stored
+                    # zero would be "reduced" and spawn further zeros.
                     value = work.get(key, 0) - factor * d
                     if value:
                         work[key] = value

@@ -10,22 +10,25 @@ monomial's support through tau, re-sorts it, re-attaches the exponent list
 in variable order, and multiplies by the global weight zeta^(sum a_i)
 unless every exponent is divisible by m.  ``group_mul`` composes elements
 so that act(group_mul(g, h), p) == act(g, act(h, p)) for both actions.
+
+Either action sends a monomial to one monomial times a power of zeta, so
+the image of a monomial is computed in integers as (exponent vector,
+phase mod m); ``Cyclotomic`` coefficients appear only when an action is
+extended linearly to a polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
 
 from .errors import ResourceLimitError
-from .linalg import kernel_dimension
+from .linalg import DEFAULT_MAX_MATRIX_ENTRIES, kernel_dimension
 from .polynomials import Polynomial, exponent_vectors, promote_to_cyclotomic
 from .scalars import Cyclotomic
 
 DEFAULT_MAX_GROUP_ORDER = 10_000
-DEFAULT_MAX_MATRIX_ENTRIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,10 @@ def parse_group_element(text: str, n: int, m: int) -> GroupElement:
         if "=" not in field:
             raise ValueError(f"cannot parse group element {text!r}")
         key, _, value = field.partition("=")
-        parts[key.strip()] = tuple(int(tok) for tok in value.split(","))
+        key = key.strip()
+        if key in parts:
+            raise ValueError(f"repeated field {key!r} in group element {text!r}")
+        parts[key] = tuple(int(tok) for tok in value.split(","))
     if set(parts) != {"tau", "weights"}:
         raise ValueError(f"group element needs tau and weights: {text!r}")
     return GroupElement(n, m, parts["tau"], parts["weights"])
@@ -142,31 +148,41 @@ def parse_group_element(text: str, n: int, m: int) -> GroupElement:
 
 # ---- actions ------------------------------------------------------------
 
-def _prepare(g: GroupElement, p: Polynomial) -> Polynomial:
+def _classical_image(g: GroupElement, nu) -> tuple:
+    """(mu, phase) with g . x^nu = zeta^phase * x^mu under the classical action."""
+    mu = [0] * g.n
+    phase = 0
+    for j, e in enumerate(nu):
+        if e:
+            mu[g.tau[j] - 1] = e
+            phase += g.weights[j] * e
+    return tuple(mu), phase % g.m
+
+
+def _quasi_image(g: GroupElement, nu) -> tuple:
+    """(mu, phase) with g . x^nu = zeta^phase * x^mu under the quasi action."""
+    support = [j for j, e in enumerate(nu) if e]
+    mu = [0] * g.n
+    for pos, j in zip(sorted(g.tau[j] - 1 for j in support), support):
+        mu[pos] = nu[j]
+    phase = sum(g.weights) if any(nu[j] % g.m for j in support) else 0
+    return tuple(mu), phase % g.m
+
+
+def _extend_linearly(image, g: GroupElement, p: Polynomial) -> Polynomial:
+    """Apply a monomial image function term by term over Q(zeta_m)."""
     if p.nvars != g.n:
         raise ValueError(f"polynomial has {p.nvars} variables, element acts on {g.n}")
-    return promote_to_cyclotomic(p, g.m)
+    acc: dict = {}
+    for nu, coeff in promote_to_cyclotomic(p, g.m).terms.items():
+        mu, phase = image(g, nu)
+        acc[mu] = acc.get(mu, 0) + coeff * Cyclotomic.zeta(g.m, phase)
+    return Polynomial(g.n, acc)
 
 
 def classical_act(g: GroupElement, p: Polynomial) -> Polynomial:
     """Substitute x_j <- zeta^(weights[j]) * x_tau(j) in p."""
-    p = _prepare(g, p)
-    acc: dict = {}
-    for nu, coeff in p.terms.items():
-        mu = [0] * g.n
-        phase = 0
-        for j in range(g.n):
-            if nu[j]:
-                mu[g.tau[j] - 1] = nu[j]
-                phase += g.weights[j] * nu[j]
-        factor = Cyclotomic.zeta(g.m, phase)
-        key = tuple(mu)
-        value = acc.get(key, 0) + coeff * factor
-        if value:
-            acc[key] = value
-        elif key in acc:
-            del acc[key]
-    return Polynomial(g.n, acc)
+    return _extend_linearly(_classical_image, g, p)
 
 
 def quasi_act(g: GroupElement, p: Polynomial) -> Polynomial:
@@ -178,27 +194,7 @@ def quasi_act(g: GroupElement, p: Polynomial) -> Polynomial:
     global weight zeta^(sum of all weights) unless every entry of K is
     divisible by m.
     """
-    p = _prepare(g, p)
-    w_exponent = sum(g.weights) % g.m
-    acc: dict = {}
-    for nu, coeff in p.terms.items():
-        support = [j for j in range(g.n) if nu[j]]
-        exponents = [nu[j] for j in support]
-        image = sorted(g.tau[j] - 1 for j in support)
-        mu = [0] * g.n
-        for pos, e in zip(image, exponents):
-            mu[pos] = e
-        if any(e % g.m for e in exponents):
-            factor = Cyclotomic.zeta(g.m, w_exponent)
-        else:
-            factor = Cyclotomic.one(g.m)
-        key = tuple(mu)
-        value = acc.get(key, 0) + coeff * factor
-        if value:
-            acc[key] = value
-        elif key in acc:
-            del acc[key]
-    return Polynomial(g.n, acc)
+    return _extend_linearly(_quasi_image, g, p)
 
 
 def is_quasi_invariant(p: Polynomial, n: int, m: int) -> bool:
@@ -220,7 +216,7 @@ def fixed_space_dimension(
     computed as the kernel rank of (g - id) stacked over the generators."""
     if action not in ("quasi", "classical"):
         raise ValueError(f"unknown action {action!r}")
-    act = quasi_act if action == "quasi" else classical_act
+    image = _quasi_image if action == "quasi" else _classical_image
     monomials = exponent_vectors(n, degree)
     index = {nu: i for i, nu in enumerate(monomials)}
     gens = generators(n, m)
@@ -228,15 +224,13 @@ def fixed_space_dimension(
         raise ResourceLimitError(
             f"fixed-space system for n={n}, m={m}, degree={degree} exceeds cap"
         )
-    one = Fraction(1)
     unit = Cyclotomic.one(m)
     rows = []
     for g in gens:
         for i, nu in enumerate(monomials):
-            image = act(g, Polynomial.monomial(nu, one))
+            mu, phase = image(g, nu)
             row = [0] * len(monomials)
-            for mu, coeff in image.terms.items():
-                row[index[mu]] = coeff
+            row[index[mu]] = Cyclotomic.zeta(m, phase)
             row[i] = row[i] - unit
             if any(row):
                 rows.append(row)

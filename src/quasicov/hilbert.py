@@ -21,12 +21,10 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import ResourceLimitError
-from .linalg import kernel_dimension
+from .linalg import DEFAULT_MAX_MATRIX_ENTRIES, kernel_dimension
 from .paths import catalan
 from .polynomials import exponent_factorial, exponent_vectors
 from .qsym import elementary_symmetric_power, quasi_invariant_generators
-
-DEFAULT_MAX_KERNEL_ENTRIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -91,29 +89,30 @@ def dyck_series(n: int) -> HilbertSeries:
     return HilbertSeries.from_coefficients(coefficients)
 
 
+def _prefactor_series(n: int, m: int, power: int) -> HilbertSeries:
+    """((1 - t^m)/(1 - t))^power * dyck_series(t^m)."""
+    prefactor = [1]
+    for _ in range(power):
+        prefactor = _poly_mul_int(prefactor, [1] * m)
+    dyck = dyck_series(n).coefficients
+    stretched = [0] * ((len(dyck) - 1) * m + 1)
+    for k, c in enumerate(dyck):
+        stretched[k * m] = c
+    return HilbertSeries.from_coefficients(_poly_mul_int(prefactor, stretched))
+
+
 def quotient_series(n: int, m: int) -> HilbertSeries:
     """((1 - t^m)/(1 - t))^n * dyck_series(t^m): the residue part contributes
     (1 + t + ... + t^(m-1)) once per variable.  Totals m^n * catalan(n)."""
     if n < 1 or m < 1:
         raise ValueError(f"need n, m >= 1, got n={n}, m={m}")
-    block = [1] * m
-    prefactor = [1]
-    for _ in range(n):
-        prefactor = _poly_mul_int(prefactor, block)
-    stretched = [0] * ((len(dyck_series(n).coefficients) - 1) * m + 1)
-    for k, c in enumerate(dyck_series(n).coefficients):
-        stretched[k * m] = c
-    return HilbertSeries.from_coefficients(_poly_mul_int(prefactor, stretched))
+    return _prefactor_series(n, m, n)
 
 
 def single_prefactor_series(n: int, m: int) -> HilbertSeries:
     """(1 - t^m)/(1 - t) * dyck_series(t^m) with the prefactor to the first
     power only; totals m * catalan(n)."""
-    block = [1] * m
-    stretched = [0] * ((len(dyck_series(n).coefficients) - 1) * m + 1)
-    for k, c in enumerate(dyck_series(n).coefficients):
-        stretched[k * m] = c
-    return HilbertSeries.from_coefficients(_poly_mul_int(block, stretched))
+    return _prefactor_series(n, m, 1)
 
 
 def _ideal_generators(n: int, m: int, max_deg: int, ideal: str):
@@ -133,7 +132,7 @@ def coinvariant_kernel_dim(
     m: int,
     degree: int,
     ideal: str = "quasi",
-    max_entries: int = DEFAULT_MAX_KERNEL_ENTRIES,
+    max_entries: int = DEFAULT_MAX_MATRIX_ENTRIES,
 ) -> int:
     """Dimension of the homogeneous polynomials of the given degree that are
     annihilated by every ideal generator applied as a differential operator.
@@ -167,7 +166,7 @@ def kernel_dims_until_zero(
     n: int,
     m: int,
     ideal: str = "quasi",
-    max_entries: int = DEFAULT_MAX_KERNEL_ENTRIES,
+    max_entries: int = DEFAULT_MAX_MATRIX_ENTRIES,
 ) -> list:
     """Kernel dimensions for degree 0, 1, 2, ... stopping at the first zero.
 

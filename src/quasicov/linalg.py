@@ -7,6 +7,10 @@ entry in the current column, so results are deterministic.
 
 from __future__ import annotations
 
+# Default cap on the dense entries of a linear system built for
+# ``kernel_dimension``: the kernel-oracle and the fixed-space systems.
+DEFAULT_MAX_MATRIX_ENTRIES = 1_000_000
+
 
 def rank(rows) -> int:
     rows = [list(r) for r in rows if any(r)]

@@ -18,6 +18,8 @@ from __future__ import annotations
 from itertools import product
 from math import comb
 
+from .polynomials import exponent_vectors
+
 DYCK = "dyck"
 TRANSDIAGONAL = "transdiagonal"
 
@@ -135,7 +137,7 @@ def minimal_transdiagonal(n: int, max_deg: int) -> list:
     """
     out = []
     for d in range(1, max_deg + 1):
-        for nu in _vectors_of_degree(n, d):
+        for nu in exponent_vectors(n, d):
             if is_dyck(nu):
                 continue
             minimal = True
@@ -150,9 +152,3 @@ def minimal_transdiagonal(n: int, max_deg: int) -> list:
                 out.append(nu)
     out.sort(key=_graded_lex_key)
     return out
-
-
-def _vectors_of_degree(n, d):
-    from .polynomials import exponent_vectors
-
-    return exponent_vectors(n, d)

@@ -4,7 +4,9 @@ Terms are kept in a dict keyed by exponent vectors (tuples of naturals).
 Exponent tuples of equal length compare lexicographically under Python's
 native tuple order, which is exactly the monomial order used throughout:
 nu > mu iff the first nonzero entry of nu - mu is positive.  Zero
-coefficients are never stored; the zero polynomial has an empty term dict.
+coefficients are never stored: the constructor drops them, so operations
+accumulate terms without watching for cancellation, and the zero polynomial
+has an empty term dict.
 Polynomials are immutable values: every operation returns a new object.
 
 Coefficients are either ``Fraction`` (ideal and Groebner computations) or
@@ -47,6 +49,17 @@ def exponent_vectors(nvars: int, degree: int) -> list:
         return [()] if degree == 0 else []
     rec([], degree, nvars)
     return out
+
+
+def degree_histogram(vectors) -> list:
+    """Number of exponent vectors of each total degree 0..top."""
+    if not vectors:
+        return []
+    top = max(sum(nu) for nu in vectors)
+    hist = [0] * (top + 1)
+    for nu in vectors:
+        hist[sum(nu)] += 1
+    return hist
 
 
 def _coerce_scalar(c):
@@ -148,11 +161,7 @@ class Polynomial:
         self._check_compatible(other)
         acc = dict(self.terms)
         for exps, coeff in other.terms.items():
-            value = acc.get(exps, 0) + coeff
-            if value:
-                acc[exps] = value
-            elif exps in acc:
-                del acc[exps]
+            acc[exps] = acc.get(exps, 0) + coeff
         return Polynomial(self.nvars, acc)
 
     def __sub__(self, other):
@@ -172,11 +181,7 @@ class Polynomial:
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 key = tuple(a + b for a, b in zip(ea, eb))
-                value = acc.get(key, 0) + ca * cb
-                if value:
-                    acc[key] = value
-                elif key in acc:
-                    del acc[key]
+                acc[key] = acc.get(key, 0) + ca * cb
         return Polynomial(self.nvars, acc)
 
     def __rmul__(self, other):
@@ -266,11 +271,7 @@ def apply_diff(p: Polynomial, q: Polynomial) -> Polynomial:
                 for i in range(k):
                     factor *= n - i
             key = tuple(n - k for k, n in zip(kappa, nu))
-            value = acc.get(key, 0) + c * d * factor
-            if value:
-                acc[key] = value
-            elif key in acc:
-                del acc[key]
+            acc[key] = acc.get(key, 0) + c * d * factor
     return Polynomial(p.nvars, acc)
 
 
@@ -328,7 +329,8 @@ def render_polynomial(p: Polynomial) -> str:
 
 
 _FACTOR = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-_RATIONAL = re.compile(r"^-?\d+(?:/\d+)?$")
+# A denominator needs a nonzero digit, so "1/0" is a parse error.
+_RATIONAL = re.compile(r"^-?\d+(?:/\d*[1-9]\d*)?$")
 
 
 def parse_polynomial(text: str, nvars: int, order: int | None = None) -> Polynomial:
@@ -382,9 +384,5 @@ def parse_polynomial(text: str, nvars: int, order: int | None = None) -> Polynom
         if order is not None and not isinstance(coeff, Cyclotomic):
             coeff = Cyclotomic.from_rational(order, coeff)
         key = tuple(exps)
-        value = acc.get(key, 0) + coeff
-        if value:
-            acc[key] = value
-        elif key in acc:
-            del acc[key]
+        acc[key] = acc.get(key, 0) + coeff
     return Polynomial(nvars, acc)

@@ -290,7 +290,10 @@ class Cyclotomic:
             out += sign + body
         return out
 
-    _TERM = re.compile(r"^(?P<coef>\d+(?:/\d+)?)?(?:(?P<z>z)(?:\^(?P<exp>\d+))?)?$")
+    # A denominator needs a nonzero digit, so "1/0" is a parse error.
+    _TERM = re.compile(
+        r"^(?P<coef>\d+(?:/\d*[1-9]\d*)?)?(?:(?P<z>z)(?:\^(?P<exp>\d+))?)?$"
+    )
 
     @classmethod
     def parse(cls, order: int, text: str) -> "Cyclotomic":

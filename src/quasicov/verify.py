@@ -12,7 +12,6 @@ from math import factorial
 
 from .group import (
     DEFAULT_MAX_GROUP_ORDER,
-    DEFAULT_MAX_MATRIX_ENTRIES,
     element_weight,
     enumerate_group,
     fixed_space_dimension,
@@ -27,12 +26,12 @@ from .groebner import (
     substitute_basis_power,
 )
 from .hilbert import (
-    DEFAULT_MAX_KERNEL_ENTRIES,
     kernel_dims_until_zero,
     quotient_series,
     series_from_monomials,
     single_prefactor_series,
 )
+from .linalg import DEFAULT_MAX_MATRIX_ENTRIES
 from .paths import catalan, quotient_basis
 from .polynomials import Polynomial, render_polynomial
 from .qsym import count_compositions
@@ -75,7 +74,7 @@ def suite_ppp(n, m):
     ]
 
 
-def suite_main(n, m, max_kernel_entries=DEFAULT_MAX_KERNEL_ENTRIES):
+def suite_main(n, m, max_kernel_entries=DEFAULT_MAX_MATRIX_ENTRIES):
     """Quotient dimension m^n * catalan(n) by every available route."""
     target = m**n * catalan(n)
     basis = quasi_ideal_basis(n, m)
@@ -96,7 +95,7 @@ def suite_main(n, m, max_kernel_entries=DEFAULT_MAX_KERNEL_ENTRIES):
     return checks
 
 
-def suite_hilbert(n, m, max_kernel_entries=DEFAULT_MAX_KERNEL_ENTRIES):
+def suite_hilbert(n, m, max_kernel_entries=DEFAULT_MAX_MATRIX_ENTRIES):
     """Graded dimensions: standard monomials vs closed series vs kernel
     oracle, plus the flagged single-prefactor variant."""
     basis = quasi_ideal_basis(n, m)
@@ -137,7 +136,7 @@ def suite_hilbert(n, m, max_kernel_entries=DEFAULT_MAX_KERNEL_ENTRIES):
     return checks
 
 
-def suite_chevalley(n, m, max_kernel_entries=DEFAULT_MAX_KERNEL_ENTRIES):
+def suite_chevalley(n, m, max_kernel_entries=DEFAULT_MAX_MATRIX_ENTRIES):
     """The classical quotient has dimension m^n * n!."""
     target = m**n * factorial(n)
     basis = classical_ideal_basis(n, m)
@@ -207,7 +206,7 @@ def run_suite(
     n,
     m,
     max_group_order=DEFAULT_MAX_GROUP_ORDER,
-    max_kernel_entries=DEFAULT_MAX_KERNEL_ENTRIES,
+    max_kernel_entries=DEFAULT_MAX_MATRIX_ENTRIES,
 ):
     if name == "propu":
         return suite_propu(n, m, max_entries=max_kernel_entries)

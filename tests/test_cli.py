@@ -159,6 +159,43 @@ def test_bad_polynomial_is_a_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "element,poly",
+    [
+        ("tau=1,2;weights=0,0", "1/0*x1"),
+        ("tau=1,2;weights=0,0", "(1/0)*x1"),
+        ("tau=2,1;weights=1,0;tau=1,2", "x1"),
+    ],
+)
+def test_bad_act_input_is_a_usage_error(element, poly, capsys):
+    code, _, err = run_cli(
+        ["act", "--n", "2", "--m", "2", "--element", element, "--poly", poly],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_negative_degree_bound_is_a_usage_error(capsys):
+    argv = ["groebner", "--n", "2", "--m", "1", "--degree-bound"]
+    code, out, err = run_cli(argv + ["-1"], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+    # bound 0 is accepted and truthfully reports an incomplete set
+    code, doc, _ = run_json(argv + ["0"], capsys)
+    assert code == 0
+    assert doc["result"]["standard_monomials"]["complete"] is False
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "basis.json"
+    code, out, err = run_cli(
+        ["basis", "--n", "2", "--m", "1", "--out", str(target)], capsys
+    )
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 def test_bad_n_is_rejected(capsys):
     code, _, err = run_cli(["basis", "--n", "0", "--m", "1"], capsys)
     assert code == 2

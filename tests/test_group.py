@@ -48,6 +48,8 @@ def test_parse_render_round_trip():
     assert render_group_element(g) == EXAMPLE_ELEMENT
     with pytest.raises(ValueError):
         parse_group_element("tau=1,2", 2, 2)
+    with pytest.raises(ValueError):
+        parse_group_element("tau=2,1;weights=1,0;tau=1,2", 2, 2)
 
 
 def test_matrix_model():
@@ -224,6 +226,17 @@ def test_action_axiom_all_pairs(n, m):
             gh = group_mul(g, h)
             assert quasi_act(gh, p) == quasi_act(g, quasi_act(h, p))
             assert classical_act(gh, p) == classical_act(g, classical_act(h, p))
+
+
+@pytest.mark.parametrize("act", [quasi_act, classical_act])
+def test_actions_are_linear_and_store_no_zero_terms(act):
+    p = parse_polynomial("x1^2*x2 + 2*x1 - x2 + 3", 2)
+    x2 = parse_polynomial("x2", 2)
+    for g in enumerate_group(2, 3):
+        total = act(g, p) + act(g, x2 - p)
+        assert total == act(g, x2)
+        assert 0 not in total.terms.values()
+        assert 0 not in act(g, p).terms.values()
 
 
 def test_weight_multiplicativity():

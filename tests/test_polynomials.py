@@ -23,6 +23,12 @@ def P(text, nvars, order=None):
     return parse_polynomial(text, nvars, order=order)
 
 
+def assert_cancelled_to(p, expected):
+    """p equals expected and keeps no zero coefficient after cancellation."""
+    assert p == expected
+    assert 0 not in p.terms.values()
+
+
 def test_lex_compare_examples():
     assert lex_compare((1, 0, 0), (0, 5, 7)) == 1
     assert lex_compare((2, 1, 0), (2, 0, 1)) == 1
@@ -46,9 +52,10 @@ def test_lex_order_is_multiplicative():
 
 def test_basic_arithmetic():
     x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
-    assert (x1 + x2) * (x1 - x2) == x1 * x1 - x2 * x2
+    assert_cancelled_to((x1 + x2) * (x1 - x2), x1 * x1 - x2 * x2)
     p = P("x1^2*x2 + 3*x1", 2)
     assert (p + (-p)).is_zero()
+    assert_cancelled_to(p + P("x1 - 3*x1", 2), P("x1^2*x2 + x1", 2))
     assert (x1 + x2) ** 2 == x1**2 + 2 * x1 * x2 + x2**2
     with pytest.raises(ValueError):
         x1 + Polynomial.variable(3, 1)
@@ -102,6 +109,9 @@ def test_apply_diff():
     assert apply_diff(P("x1*x2", 2), P("x1*x2", 2)) == Polynomial.one(2)
     assert apply_diff(P("x1^2", 2), P("x1^2", 2)) == P("2", 2)
     assert apply_diff(P("x1", 2), P("x2", 2)).is_zero()
+    # (d/dx1 - d/dx2) kills x1 + x2: the constant terms cancel
+    p = apply_diff(P("x1 - x2", 2), P("x1 + x2 + x1*x2", 2))
+    assert_cancelled_to(p, P("x2 - x1", 2))
 
 
 def test_scalar_product_examples():
@@ -190,6 +200,18 @@ def test_parse_rejects_garbage():
         parse_polynomial("x9", 2)
     with pytest.raises(ValueError):
         parse_polynomial("(-1-z)*x1", 2)  # cyclotomic literal without an order
+    with pytest.raises(ValueError):
+        parse_polynomial("1/0*x1", 2)
+    with pytest.raises(ValueError):
+        parse_polynomial("(1/0)*x1", 2, order=3)
+    with pytest.raises(ValueError):
+        Cyclotomic.parse(3, "1+2/0z")
+
+
+def test_parse_drops_cancelled_terms():
+    assert_cancelled_to(parse_polynomial("x1 - x1 + x2", 2), P("x2", 2))
+    p = parse_polynomial("(z)*x1 + (-z)*x1", 2, order=3)
+    assert_cancelled_to(p, Polynomial.zero(2))
 
 
 def test_promotion():

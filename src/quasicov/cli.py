@@ -314,7 +314,17 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # The reader is gone; point stdout at devnull so the flush at
+            # interpreter exit cannot raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     failed = [c for c in doc["checks"] if not c["pass"]]
     if failed:
         first = failed[0]

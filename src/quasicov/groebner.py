@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+import bisect
 import heapq
 
 from .polynomials import Polynomial, degree_histogram, exponent_vectors
@@ -103,24 +104,25 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return mf * f - mg * g
 
 
+def _leading(p: Polynomial) -> tuple:
+    return p.leading_monomial()[0]
+
+
 def _autoreduce(polys) -> list:
-    """Reduce each polynomial against the others until stable; drops zeros."""
-    polys = [p.monic() for p in polys if p.terms]
-    changed = True
-    while changed:
-        changed = False
-        polys.sort(key=lambda q: q.leading_monomial()[0])
-        for i in range(len(polys)):
-            rest = polys[:i] + polys[i + 1:]
-            r = normal_form(polys[i], rest)
-            if r == polys[i]:
-                continue
-            changed = True
-            if r.terms:
-                polys[i] = r.monic()
-            else:
-                polys.pop(i)
-            break
+    """Reduce each polynomial against the others until stable; drops zeros.
+
+    One ascending sweep suffices: a leading monomial divides only monomials
+    at least as large, so a polynomial re-inserted at its sorted place can
+    make only the ones after it reducible.
+    """
+    polys = sorted((p.monic() for p in polys if p.terms), key=_leading)
+    i = 0
+    while i < len(polys):
+        r = normal_form(polys.pop(i), polys)
+        if r.terms:
+            i = bisect.bisect_left(polys, _leading(r), key=_leading)
+            polys.insert(i, r.monic())
+            i += 1
     return polys
 
 
@@ -162,44 +164,35 @@ def buchberger(generators, degree_bound: int, nvars: int | None = None) -> Groeb
     basis = _autoreduce(polys)
     heap: list = []
 
-    def push_pairs(upto, j):
-        lmj = basis[j].leading_monomial()[0]
-        for i in range(upto):
-            lmi = basis[i].leading_monomial()[0]
+    def push_pairs(j):
+        lmj = _leading(basis[j])
+        for i in range(j):
+            lmi = _leading(basis[i])
+            if all(min(a, b) == 0 for a, b in zip(lmi, lmj)):
+                continue
             lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
-            heapq.heappush(heap, (sum(lcm), lcm, i, j))
+            lcm_deg = sum(lcm)
+            if lcm_deg <= degree_bound:
+                heapq.heappush(heap, (lcm_deg, lcm, i, j))
 
     for j in range(len(basis)):
-        push_pairs(j, j)
+        push_pairs(j)
     while heap:
-        lcm_deg, lcm, i, j = heapq.heappop(heap)
-        if lcm_deg > degree_bound:
-            break  # heap is ordered by degree: everything left is out of bound
-        lmi = basis[i].leading_monomial()[0]
-        lmj = basis[j].leading_monomial()[0]
-        if all(min(a, b) == 0 for a, b in zip(lmi, lmj)):
-            continue
+        _, _, i, j = heapq.heappop(heap)
         remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if remainder.terms:
             basis.append(remainder.monic())
-            push_pairs(len(basis) - 1, len(basis) - 1)
-    ordered = tuple(sorted(basis, key=lambda g: g.leading_monomial()[0], reverse=True))
+            push_pairs(len(basis) - 1)
+    ordered = tuple(sorted(basis, key=_leading, reverse=True))
     return GroebnerBasis(nvars, ordered, degree_bound, reduced=False)
 
 
 def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
-    """The unique reduced monic basis with the same initial ideal."""
-    by_lm = sorted(basis.generators, key=lambda g: g.leading_monomial()[0])
-    minimal = []
-    kept_lms: list = []
-    for g in by_lm:
-        lm = g.leading_monomial()[0]
-        if any(_divides(other, lm) for other in kept_lms):
-            continue
-        minimal.append(g)
-        kept_lms.append(lm)
-    reduced = _autoreduce(minimal)
-    ordered = tuple(sorted(reduced, key=lambda g: g.leading_monomial()[0], reverse=True))
+    """The unique reduced monic basis with the same initial ideal.  An
+    element whose leading monomial another divides reduces to zero, since
+    the others still form a basis through the bound."""
+    reduced = _autoreduce(basis.generators)
+    ordered = tuple(sorted(reduced, key=_leading, reverse=True))
     return GroebnerBasis(basis.nvars, ordered, basis.degree_bound, reduced=True)
 
 
@@ -270,18 +263,20 @@ def classical_degree_bound(n: int, m: int) -> int:
 def quasi_ideal_basis(n: int, m: int, degree_bound: int | None = None) -> GroebnerBasis:
     """Reduced basis of the ideal generated by quasi-invariants with no
     constant term, valid through the bound."""
-    bound = default_degree_bound(n, m) if degree_bound is None else degree_bound
-    gens = quasi_invariant_generators(n, m, bound)
-    return reduced_groebner_basis(gens, bound, nvars=n)
+    if degree_bound is None:
+        return quasi_ideal_basis(n, m, default_degree_bound(n, m))
+    gens = quasi_invariant_generators(n, m, degree_bound)
+    return reduced_groebner_basis(gens, degree_bound, nvars=n)
 
 
 @lru_cache(maxsize=None)
 def classical_ideal_basis(n: int, m: int, degree_bound: int | None = None) -> GroebnerBasis:
     """Reduced basis of the ideal generated by the elementary symmetric
     polynomials evaluated at (x1^m, ..., xn^m)."""
-    bound = classical_degree_bound(n, m) if degree_bound is None else degree_bound
+    if degree_bound is None:
+        return classical_ideal_basis(n, m, classical_degree_bound(n, m))
     gens = [elementary_symmetric_power(k, n, m) for k in range(1, n + 1)]
-    return reduced_groebner_basis(gens, bound, nvars=n)
+    return reduced_groebner_basis(gens, degree_bound, nvars=n)
 
 
 def stabilization_check(n: int, m: int) -> bool:

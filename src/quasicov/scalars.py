@@ -22,6 +22,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     """Euler's totient function."""
     if m < 1:
@@ -298,6 +299,8 @@ class Cyclotomic:
     @classmethod
     def parse(cls, order: int, text: str) -> "Cyclotomic":
         """Parse the format produced by ``str``, e.g. ``-1-z`` or ``1/2+z^2``."""
+        if order < 1:
+            raise ValueError(f"cyclotomic order must be >= 1, got {order}")
         s = text.strip().replace(" ", "")
         if s in ("", "0"):
             return cls.zero(order)
@@ -321,7 +324,8 @@ class Cyclotomic:
                 raise ValueError(f"cannot parse cyclotomic term {chunk!r} in {text!r}")
             coef = Fraction(match.group("coef")) if match.group("coef") else _ONE
             if match.group("z"):
-                exp = int(match.group("exp")) if match.group("exp") else 1
+                # z^order = 1, so the list below stays shorter than order.
+                exp = int(match.group("exp") or 1) % order
             else:
                 exp = 0
             acc[exp] = acc.get(exp, _ZERO) + sign * coef

@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -194,6 +195,24 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert out == "" and err.startswith("error:")
+
+
+def test_closed_stdout_is_a_usage_error():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "quasicov", "groebner", "--n", "2", "--m", "1",
+             "--degree-bound", "1", "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_bad_n_is_rejected(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from quasicov.groebner import (
     GroebnerBasis,
+    _autoreduce,
     buchberger,
     classical_degree_bound,
     classical_ideal_basis,
@@ -110,6 +111,48 @@ def test_reduce_basis():
     assert reduce_basis(reduced).generators == reduced.generators
     only_x1 = reduce_basis(buchberger([P("x1", 2), P("x1^2", 2)], 3))
     assert [str(g) for g in only_x1.generators] == ["x1"]
+    # Non-minimal bases: interreduction sends the redundant elements to zero.
+    redundant = GroebnerBasis(2, (P("x1*x2 + x2^2", 2), P("x1", 2), P("x2^2", 2)), 2, False)
+    assert [str(g) for g in reduce_basis(redundant).generators] == ["x1", "x2^2"]
+    tied = GroebnerBasis(2, (P("x1 + x2", 2), P("x1 - x2", 2), P("x2", 2)), 1, False)
+    assert [str(g) for g in reduce_basis(tied).generators] == ["x1", "x2"]
+
+
+def _restart_autoreduce(polys):
+    """Reference interreduction: restart from the first polynomial after
+    every change."""
+    polys = [p.monic() for p in polys if p.terms]
+    changed = True
+    while changed:
+        changed = False
+        polys.sort(key=lambda q: q.leading_monomial()[0])
+        for i in range(len(polys)):
+            rest = polys[:i] + polys[i + 1:]
+            r = normal_form(polys[i], rest)
+            if r == polys[i]:
+                continue
+            changed = True
+            if r.terms:
+                polys[i] = r.monic()
+            else:
+                polys.pop(i)
+            break
+    return polys
+
+
+def test_autoreduce_matches_restart_loop():
+    pairs = [(n, m) for n in range(1, 5) for m in range(1, 4)] + [(5, 1)]
+    inputs = [quasi_invariant_generators(n, m, default_degree_bound(n, m)) for n, m in pairs]
+    gens = quasi_invariant_generators(3, 1, default_degree_bound(3, 1))
+    rng = random.Random(13)
+    for _ in range(5):
+        shuffled = gens[:]
+        rng.shuffle(shuffled)
+        inputs.append([g * Fraction(rng.randint(1, 5)) for g in shuffled])
+    inputs.append([P("x1^2 + x2^2", 2), P("x1^2 + x1*x2", 2), P("x1*x2", 2)])
+    for polys in inputs:
+        expected = [str(g) for g in _restart_autoreduce(polys)]
+        assert [str(g) for g in _autoreduce(polys)] == expected
 
 
 def test_reduced_basis_is_presentation_independent():
@@ -204,6 +247,13 @@ def test_standard_monomials_equal_path_basis(n, m):
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
 def test_stabilization_of_the_degree_truncation(n, m):
     assert stabilization_check(n, m)
+
+
+def test_default_bound_shares_the_cache_entry():
+    assert quasi_ideal_basis(3, 2) is quasi_ideal_basis(3, 2, default_degree_bound(3, 2))
+    assert classical_ideal_basis(2, 2) is classical_ideal_basis(
+        2, 2, classical_degree_bound(2, 2)
+    )
 
 
 def test_classical_ideal_dimensions():

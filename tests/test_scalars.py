@@ -146,6 +146,15 @@ def test_text_round_trip(m):
     assert Cyclotomic.parse(m, "0") == Cyclotomic.zero(m)
 
 
+def test_parse_reduces_exponents_mod_order():
+    # z^m = 1 in Q(zeta_m), so a huge exponent costs no more than a small one.
+    assert Cyclotomic.parse(3, "z^3000001") == Cyclotomic.zeta(3, 1)
+    assert Cyclotomic.parse(5, "2z^10+z^11") == Cyclotomic.parse(5, "2+z")
+    assert Cyclotomic.parse(1, "z") == Cyclotomic.one(1)
+    with pytest.raises(ValueError):
+        Cyclotomic.parse(0, "z^2")
+
+
 def test_mixed_scalar_arithmetic():
     z = Cyclotomic.zeta(3)
     assert 1 + z == z + 1

@@ -225,12 +225,13 @@ def fixed_space_dimension(
             f"fixed-space system for n={n}, m={m}, degree={degree} exceeds cap"
         )
     unit = Cyclotomic.one(m)
+    powers = [Cyclotomic.zeta(m, k) for k in range(m)]
     rows = []
     for g in gens:
         for i, nu in enumerate(monomials):
             mu, phase = image(g, nu)
             row = [0] * len(monomials)
-            row[index[mu]] = Cyclotomic.zeta(m, phase)
+            row[index[mu]] = powers[phase]
             row[i] = row[i] - unit
             if any(row):
                 rows.append(row)

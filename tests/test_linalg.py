@@ -1,0 +1,125 @@
+"""Sparse integer elimination against a dense field-elimination reference."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from quasicov.linalg import kernel_dimension, rank
+from quasicov.scalars import Cyclotomic, euler_phi
+
+ORDERS = [1, 2, 3, 4, 5, 6, 8, 12]
+
+
+def dense_rank(rows) -> int:
+    """Dense Gaussian elimination over the field of the entries: the first
+    row with a nonzero entry in the current column is the pivot.  Integers
+    are read as Fractions so that ``/`` stays exact."""
+    rows = [[Fraction(v) if isinstance(v, int) else v for v in r] for r in rows]
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    r = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r]
+        pv = pivot[col]
+        for i in range(r + 1, len(rows)):
+            v = rows[i][col]
+            if not v:
+                continue
+            factor = v / pv
+            row = rows[i]
+            for j in range(col, ncols):
+                if pivot[j]:
+                    row[j] = row[j] - factor * pivot[j]
+        r += 1
+        if r == len(rows):
+            break
+    return r
+
+
+small = st.integers(-3, 3)
+rationals = st.builds(Fraction, small, st.integers(1, 4))
+
+
+def scalars(order):
+    """Entries over Q, or over Q(zeta_order) mixed with plain rationals."""
+    if order is None:
+        return rationals
+    cyclotomic = st.lists(rationals, max_size=euler_phi(order) + 1).map(
+        lambda cs: Cyclotomic(order, cs)
+    )
+    return st.one_of(rationals, cyclotomic)
+
+
+@st.composite
+def matrices(draw, order):
+    """(base rows, the same rows with dependent and zero rows mixed in)."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.just(0), scalars(order))
+    base = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
+    extra = []
+    for _ in range(draw(st.integers(0, 3))):
+        if base:
+            coeffs = draw(st.lists(scalars(order), min_size=len(base), max_size=len(base)))
+            combo = [0] * ncols
+            for c, r in zip(coeffs, base):
+                combo = [x + c * y for x, y in zip(combo, r)]
+            extra.append(combo)
+        else:
+            extra.append([0] * ncols)
+    return base, draw(st.permutations(base + extra))
+
+
+@pytest.mark.parametrize("order", [None] + ORDERS)
+@given(data=st.data())
+def test_rank_matches_dense_reference(order, data):
+    base, mixed = data.draw(matrices(order))
+    expected = dense_rank(base)
+    assert rank(base) == expected
+    assert rank(mixed) == expected
+    assert dense_rank(mixed) == expected
+
+
+def test_integer_rows_are_exact():
+    # In floating point 1 - 49 * (1 / 49) is not 0, so int rows must stay exact.
+    assert rank([[49, 49], [1, 1]]) == 1
+    assert rank([[1, 1], [49, 49]]) == 1
+
+
+def test_empty_and_zero_inputs():
+    assert rank([]) == 0
+    assert rank([[0, 0, 0], [Fraction(0)] * 3]) == 0
+    assert rank([[Cyclotomic.zero(3)] * 2]) == 0
+
+
+def test_cyclotomic_dependence():
+    z = Cyclotomic.zeta(3)
+    # The second row is z times the first: dependent over Q(zeta_3) although
+    # independent over Q.
+    assert rank([[1, z], [z, z * z]]) == 1
+    assert rank([[1, z], [z, 1]]) == 2
+
+
+def test_mixed_orders_are_rejected():
+    with pytest.raises(ValueError):
+        rank([[Cyclotomic.zeta(3), Cyclotomic.zeta(4)]])
+    with pytest.raises(ValueError):
+        rank([[Cyclotomic.zeta(3)], [Cyclotomic.zeta(6)]])
+
+
+@pytest.mark.parametrize("order", [None, 3])
+@given(data=st.data())
+def test_kernel_dimension_is_columns_minus_rank(order, data):
+    base, _ = data.draw(matrices(order))
+    ncols = len(base[0]) if base else 4
+    assert kernel_dimension(base, ncols) == ncols - dense_rank(base)

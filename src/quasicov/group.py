@@ -173,10 +173,15 @@ def _extend_linearly(image, g: GroupElement, p: Polynomial) -> Polynomial:
     """Apply a monomial image function term by term over Q(zeta_m)."""
     if p.nvars != g.n:
         raise ValueError(f"polynomial has {p.nvars} variables, element acts on {g.n}")
+    # Each power of zeta is built once, and only if some term needs it: a
+    # power at or past phi(m) costs a division by Phi_m.
+    powers: dict = {}
     acc: dict = {}
     for nu, coeff in promote_to_cyclotomic(p, g.m).terms.items():
         mu, phase = image(g, nu)
-        acc[mu] = acc.get(mu, 0) + coeff * Cyclotomic.zeta(g.m, phase)
+        if phase not in powers:
+            powers[phase] = Cyclotomic.zeta(g.m, phase)
+        acc[mu] = acc.get(mu, 0) + coeff * powers[phase]
     return Polynomial(g.n, acc)
 
 

@@ -49,8 +49,8 @@ def _trim(coeffs: list) -> list:
 
 def _poly_divmod(num, den):
     """Quotient and remainder in Q[z]; coefficient lists are ascending."""
-    num = _trim([Fraction(c) for c in num])
-    den = _trim([Fraction(c) for c in den])
+    num = _trim([c if type(c) is Fraction else Fraction(c) for c in num])
+    den = _trim([c if type(c) is Fraction else Fraction(c) for c in den])
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     deg_d = len(den) - 1
@@ -131,7 +131,7 @@ class Cyclotomic:
         if order < 1:
             raise ValueError(f"cyclotomic order must be >= 1, got {order}")
         phi = euler_phi(order)
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(cs) > phi:
             _, cs = _poly_divmod(cs, cyclotomic_polynomial(order))
         cs = cs + [_ZERO] * (phi - len(cs))

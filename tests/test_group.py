@@ -6,9 +6,12 @@ from math import factorial
 
 import pytest
 
+from quasicov import verify
 from quasicov.errors import ResourceLimitError
 from quasicov.group import (
     GroupElement,
+    _classical_image,
+    _quasi_image,
     classical_act,
     diagonal_generator,
     element_weight,
@@ -25,7 +28,12 @@ from quasicov.group import (
     to_matrix,
     transposition,
 )
-from quasicov.polynomials import Polynomial, parse_polynomial, promote_to_cyclotomic
+from quasicov.polynomials import (
+    Polynomial,
+    exponent_vectors,
+    parse_polynomial,
+    promote_to_cyclotomic,
+)
 from quasicov.qsym import compositions_of, elementary_symmetric_power, monomial_qsym
 from quasicov.scalars import Cyclotomic
 
@@ -237,6 +245,45 @@ def test_actions_are_linear_and_store_no_zero_terms(act):
         assert total == act(g, x2)
         assert 0 not in total.terms.values()
         assert 0 not in act(g, p).terms.values()
+
+
+@pytest.mark.parametrize(
+    "act,image", [(quasi_act, _quasi_image), (classical_act, _classical_image)]
+)
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
+def test_integer_images_match_the_polynomial_actions(act, image, n, m):
+    """The (exponent vector, phase) images that the action-axioms suite
+    checks are what the public actions do to each monomial."""
+    for g in enumerate_group(n, m):
+        for d in range(4):
+            for nu in exponent_vectors(n, d):
+                mu, phase = image(g, nu)
+                expected = Polynomial(n, {mu: Cyclotomic.zeta(m, phase)})
+                assert act(g, Polynomial.monomial(nu, 1)) == expected
+
+
+def _failure_counts(checks):
+    return {c["name"]: c["actual"] for c in checks if c["name"].endswith("_failures")}
+
+
+def test_action_axioms_suite_catches_a_wrong_composition(monkeypatch):
+    monkeypatch.setattr(verify, "group_mul", lambda g, h: group_mul(h, g))
+    counts = _failure_counts(verify.suite_action_axioms(3, 2))
+    assert counts["quasi_action_axiom_failures"] > 0
+    assert counts["classical_action_axiom_failures"] > 0
+    # the weight sum does not see the order of the factors
+    assert counts["weight_multiplicativity_failures"] == 0
+
+
+def test_action_axioms_suite_catches_a_wrong_weight(monkeypatch):
+    def shifted(g, h):
+        gh = group_mul(g, h)
+        weights = ((gh.weights[0] + 1) % gh.m,) + gh.weights[1:]
+        return GroupElement(gh.n, gh.m, gh.tau, weights)
+
+    monkeypatch.setattr(verify, "group_mul", shifted)
+    counts = _failure_counts(verify.suite_action_axioms(3, 2))
+    assert counts["weight_multiplicativity_failures"] > 0
 
 
 def test_weight_multiplicativity():

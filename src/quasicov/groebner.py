@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import le
 import bisect
 import heapq
 
-from .polynomials import Polynomial, degree_histogram, exponent_vectors
+from .polynomials import Polynomial, degree_histogram
 from .qsym import elementary_symmetric_power, quasi_invariant_generators
 
 
@@ -47,10 +48,6 @@ class StandardMonomialSet:
         return degree_histogram(self.monomials)
 
 
-def _divides(lm, nu) -> bool:
-    return all(a <= b for a, b in zip(lm, nu))
-
-
 def normal_form(p: Polynomial, basis) -> Polynomial:
     """Remainder of p under multivariate division by the basis elements.
 
@@ -72,7 +69,7 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
         nu = max(work)
         c = work.pop(nu)
         for (lm, lc), g in leads:
-            if _divides(lm, nu):
+            if all(map(le, lm, nu)):
                 factor = c / lc
                 for mu, d in g.terms.items():
                     if mu == lm:
@@ -203,11 +200,10 @@ def reduced_groebner_basis(generators, degree_bound: int, nvars: int | None = No
 def verify_buchberger_criterion(basis: GroebnerBasis) -> bool:
     """Post-hoc self-test: every in-bound S-polynomial reduces to zero."""
     gens = basis.generators
+    lms = basis.leading_monomials()
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            lmi = gens[i].leading_monomial()[0]
-            lmj = gens[j].leading_monomial()[0]
-            lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
+            lcm = tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
             if sum(lcm) > basis.degree_bound:
                 continue
             if normal_form(s_polynomial(gens[i], gens[j]), basis).terms:
@@ -217,26 +213,48 @@ def verify_buchberger_criterion(basis: GroebnerBasis) -> bool:
 
 def standard_monomials(basis: GroebnerBasis, through_degree: int) -> StandardMonomialSet:
     """Monomials of degree <= through_degree divisible by no basis leading
-    monomial.  The set is complete when the top degree contributes nothing:
-    standard monomials are closed under division, so an empty degree stays
-    empty above."""
+    monomial, in (degree, lex) order.
+
+    They form an order ideal, grown here degree by degree.  A monomial c is
+    standard iff it is not itself a leading monomial and every lower
+    neighbour c - e_i (c_i > 0) is standard: a leading monomial lm that
+    divides c with lm != c has lm_i < c_i for some i, so it divides
+    c - e_i, which then is not standard.  Each c of degree d + 1 is made
+    once, from c - e_j with j its last nonzero index, and kept iff the
+    test above holds against degree d.  Work is bounded by nvars times the
+    number of standard monomials.
+
+    The set is complete when the top degree contributes nothing: an empty
+    degree stays empty above, so the search may stop at the first one.
+    """
     if through_degree > basis.degree_bound:
         raise ValueError(
             f"through_degree {through_degree} exceeds basis bound {basis.degree_bound}"
         )
-    lms = basis.leading_monomials()
-    found = []
-    top_count = 0
-    for d in range(through_degree + 1):
-        for nu in exponent_vectors(basis.nvars, d):
-            if not any(_divides(lm, nu) for lm in lms):
-                found.append(nu)
-                if d == through_degree:
-                    top_count += 1
-    found.sort(key=lambda nu: (sum(nu), nu))
-    return StandardMonomialSet(
-        basis.nvars, tuple(found), through_degree, complete=(top_count == 0)
-    )
+    n = basis.nvars
+    lms = set(basis.leading_monomials())
+    layer = [] if (0,) * n in lms else [(0,) * n]
+    found = list(layer)
+    for _ in range(through_degree):
+        if not layer:
+            break
+        below = set(layer)
+        children = []
+        for nu in layer:
+            last = max((i for i, e in enumerate(nu) if e), default=0)
+            for j in range(last, n):
+                child = nu[:j] + (nu[j] + 1,) + nu[j + 1:]
+                # child - e_j is nu, and child has no nonzero index past j.
+                if child not in lms and all(
+                    child[:i] + (child[i] - 1,) + child[i + 1:] in below
+                    for i in range(j)
+                    if child[i]
+                ):
+                    children.append(child)
+        children.sort()
+        found.extend(children)
+        layer = children
+    return StandardMonomialSet(n, tuple(found), through_degree, complete=not layer)
 
 
 def substitute_basis_power(basis: GroebnerBasis, m: int) -> GroebnerBasis:

@@ -230,11 +230,15 @@ def fixed_space_dimension(
             f"fixed-space system for n={n}, m={m}, degree={degree} exceeds cap"
         )
     unit = Cyclotomic.one(m)
-    powers = [Cyclotomic.zeta(m, k) for k in range(m)]
+    # Build each power of zeta on first use: a power at or past phi(m)
+    # costs a division by Phi_m, and the rows may need only a few.
+    powers: dict = {}
     rows = []
     for g in gens:
         for i, nu in enumerate(monomials):
             mu, phase = image(g, nu)
+            if phase not in powers:
+                powers[phase] = Cyclotomic.zeta(m, phase)
             row = [0] * len(monomials)
             row[index[mu]] = powers[phase]
             row[i] = row[i] - unit

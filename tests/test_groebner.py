@@ -1,12 +1,15 @@
 """The truncated Buchberger engine and the quasi-invariant ideal."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quasicov.groebner import (
     GroebnerBasis,
+    StandardMonomialSet,
     _autoreduce,
     buchberger,
     classical_degree_bound,
@@ -23,7 +26,7 @@ from quasicov.groebner import (
     verify_buchberger_criterion,
 )
 from quasicov.paths import catalan, minimal_transdiagonal, quotient_basis
-from quasicov.polynomials import Polynomial, parse_polynomial
+from quasicov.polynomials import Polynomial, exponent_vectors, parse_polynomial
 from quasicov.qsym import quasi_invariant_generators
 
 
@@ -64,6 +67,16 @@ def test_normal_form_is_irreducible_and_congruent():
             assert not any(all(a <= b for a, b in zip(lm, nu)) for lm in lms)
         # p - r reduces to zero, i.e. lies in the ideal
         assert normal_form(p - r, basis).is_zero()
+
+
+def test_normal_form_reduces_by_the_first_divisor_in_list_order():
+    # Not a Groebner basis: both leading monomials divide p, and the two
+    # orders leave different remainders.
+    f, g = P("x1^2 + x2^2", 2), P("x1*x2", 2)
+    p = P("x1^2*x2", 2)
+    assert normal_form(p, [f, g]) == P("-x2^3", 2)
+    assert normal_form(p, GroebnerBasis(2, (f, g), 3, reduced=False)) == P("-x2^3", 2)
+    assert normal_form(p, [g, f]).is_zero()
 
 
 def test_s_polynomial():
@@ -187,6 +200,81 @@ def test_standard_monomials_examples():
     sms_empty = standard_monomials(empty, 1)
     assert sms_empty.monomials == ((0,), (1,))
     assert not sms_empty.complete
+
+
+def _scan_standard_monomials(basis, through_degree):
+    """Reference enumerator: test every monomial up to the degree against
+    every leading monomial."""
+    lms = basis.leading_monomials()
+    found = [
+        nu
+        for d in range(through_degree + 1)
+        for nu in exponent_vectors(basis.nvars, d)
+        if not any(all(a <= b for a, b in zip(lm, nu)) for lm in lms)
+    ]
+    found.sort(key=lambda nu: (sum(nu), nu))
+    top = sum(1 for nu in found if sum(nu) == through_degree)
+    return StandardMonomialSet(basis.nvars, tuple(found), through_degree, complete=(top == 0))
+
+
+def _assert_matches_scan(basis):
+    for through in range(basis.degree_bound + 1):
+        assert standard_monomials(basis, through) == _scan_standard_monomials(basis, through)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_standard_monomials_match_scan_on_quasi_bases(n, m):
+    for bound in range(default_degree_bound(n, m) + 2):
+        _assert_matches_scan(quasi_ideal_basis(n, m, bound))
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (3, 3)])
+def test_standard_monomials_match_scan_on_classical_bases(n, m):
+    _assert_matches_scan(classical_ideal_basis(n, m))
+
+
+def test_standard_monomials_match_scan_on_empty_and_constant_bases():
+    for n in (1, 3):
+        _assert_matches_scan(GroebnerBasis(n, (), 4, reduced=True))
+        one = Polynomial.monomial((0,) * n, Fraction(1))
+        constant = GroebnerBasis(n, (P("x1", n), one), 3, reduced=False)
+        _assert_matches_scan(constant)
+        assert standard_monomials(constant, 0) == StandardMonomialSet(n, (), 0, complete=True)
+
+
+def _cap_degree(exps, cap=6):
+    capped = []
+    for e in exps:
+        capped.append(min(e, cap - sum(capped)))
+    return tuple(capped)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(st.integers(0, 6), min_size=n, max_size=n).map(_cap_degree),
+                max_size=6,
+            ),
+        )
+    )
+)
+def test_standard_monomials_match_scan_on_monomial_ideals(drawn):
+    n, lms = drawn
+    gens = tuple(
+        Polynomial.monomial(lm, Fraction(1)) for lm in sorted(set(lms), reverse=True)
+    )
+    _assert_matches_scan(GroebnerBasis(n, gens, 7, reduced=False))
+
+
+def test_standard_monomials_stop_at_the_first_empty_degree():
+    basis = quasi_ideal_basis(2, 1)
+    huge = dataclasses.replace(basis, degree_bound=10**6)
+    sms = standard_monomials(huge, 10**6)
+    assert sms.complete
+    assert sms.monomials == standard_monomials(basis, basis.degree_bound).monomials
 
 
 def test_standard_monomials_respects_bound():

@@ -11,17 +11,47 @@ The default bound for the quasi-invariant ideal is one more than the top
 degree m(n-1) + n(m-1) of its quotient basis, so the empty top degree
 certifies that the standard-monomial set is complete.  A stabilization
 re-run with an enlarged bound and generator set guards that choice.
+
+Division runs on packed monomials and integer coefficients.  A monomial
+is one int of nvars fields of ``bits`` bits each, x1 in the highest field,
+and every exponent is kept below half = 2^(bits - 1), so the top bit of
+each field, its guard, is clear.  Then:
+
+- Int order is lex order, and the packed form of nu - lm + mu is the int
+  nu - lm + mu.
+- If lm divides nu, q = nu - lm borrows nowhere and has fields below half.
+  The key q + mu of a tail term then has fields below 2 half, so nothing
+  carries, and an exponent has outgrown its field iff a guard bit of the
+  key is set.  The width comes from the degree bound, so only
+  non-homogeneous input can overflow; the division is then redone with
+  fields twice as wide.
+- The divisors whose leading monomials divide nu are found without a scan:
+  for each variable v, a table holds at each exponent e the bitmask of the
+  divisors whose leading monomial has exponent at most e in v.  The AND of
+  the tables at the exponents of nu marks exactly the divisors of nu, and
+  its lowest set bit is the first of them in list order.
+
+A divisor is stored as its primitive integer multiple with a positive
+leading coefficient lc, and the dividend as its own primitive multiple.
+To cancel a term c, with g = gcd(c, lc) and a = lc / g, the work and the
+remainder are scaled by a (only when a != 1) and (c / g) times the divisor
+is subtracted.  Scaling by a nonzero constant keeps the support, so each
+step pops the same monomial and picks the same first divisor in list order
+as division over Fractions; the integer remainder is the Fraction one
+times the product of the scales, and ``normal_form`` divides it back out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import le
+from functools import cached_property, lru_cache
+from math import gcd
+from operator import itemgetter
 import bisect
 import heapq
 
+from .linalg import _divide_content, _primitive
 from .polynomials import Polynomial, degree_histogram
 from .qsym import elementary_symmetric_power, quasi_invariant_generators
 
@@ -35,6 +65,11 @@ class GroebnerBasis:
 
     def leading_monomials(self) -> tuple:
         return tuple(g.leading_monomial()[0] for g in self.generators)
+
+    @cached_property
+    def _divisors(self) -> _Divisors:
+        """The generators packed for division, made on first use."""
+        return _Divisors(self.nvars, self.generators, self.degree_bound)
 
 
 @dataclass(frozen=True)
@@ -52,41 +87,188 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
     """Remainder of p under multivariate division by the basis elements.
 
     No monomial of the result is divisible by any basis leading monomial,
-    and p minus the result lies in the ideal the basis generates.
+    and p minus the result lies in the ideal the basis generates.  Each
+    step reduces the largest remaining monomial by the first divisor, in
+    list order, whose leading monomial divides it.  ``basis`` is a
+    ``GroebnerBasis`` or a sequence of rational polynomials.
     """
     if isinstance(basis, GroebnerBasis):
-        divisors = basis.generators
         if p.terms and p.degree() > basis.degree_bound:
             raise ValueError(
                 f"degree {p.degree()} exceeds basis bound {basis.degree_bound}"
             )
+        divisors = basis._divisors
+    elif isinstance(basis, _Divisors):
+        divisors = basis
     else:
-        divisors = [g for g in basis if g.terms]
-    leads = [(g.leading_monomial(), g) for g in divisors]
-    work = dict(p.terms)
-    remainder: dict = {}
-    while work:
-        nu = max(work)
-        c = work.pop(nu)
-        for (lm, lc), g in leads:
-            if all(map(le, lm, nu)):
-                factor = c / lc
-                for mu, d in g.terms.items():
-                    if mu == lm:
-                        continue
-                    key = tuple(a + b - l for a, b, l in zip(nu, mu, lm))
-                    # Unlike Polynomial arithmetic, this loop must drop a
-                    # cancelled term at once: it pops max(work), so a stored
-                    # zero would be "reduced" and spawn further zeros.
-                    value = work.get(key, 0) - factor * d
-                    if value:
-                        work[key] = value
-                    elif key in work:
-                        del work[key]
-                break
-        else:
-            remainder[nu] = c
-    return Polynomial(p.nvars, remainder)
+        divisors = _Divisors(p.nvars, basis)
+    return divisors.normal_form(p)
+
+
+class _Divisors:
+    """Divisors in list order, packed for division (module docstring).
+
+    A divisor is stored as (lm, lc, tail): the leading monomial and
+    coefficient (lc > 0) of its primitive integer multiple, and its other
+    terms as (monomial, coefficient) pairs.  ``index[v][e]`` has bit i set
+    iff the leading monomial of divisor i has exponent at most e in
+    variable v; an exponent past the end of the table admits every
+    divisor.  Zero polynomials are left out.
+    """
+
+    def __init__(self, nvars: int, polys=(), degree: int = 0):
+        self.nvars = nvars
+        self.packed: list = []
+        self.index = [[0] for _ in range(nvars)]
+        self._set_width(degree.bit_length() + 1)
+        for g in polys:
+            if g.terms:
+                self.append(g)
+
+    def _set_width(self, bits: int, terms=None) -> dict:
+        """Repack every divisor, and the integer ``terms`` if given, into
+        fields of ``bits`` bits; return the repacked terms."""
+        unpack = self._exponents
+        divisors = [
+            (unpack(lm), lc, [(unpack(mu), d) for mu, d in tail])
+            for lm, lc, tail in self.packed
+        ]
+        terms = [(unpack(k), v) for k, v in terms.items()] if terms else []
+        self.bits = bits
+        self.half = 1 << (bits - 1)
+        self.guard = sum(self.half << (bits * v) for v in range(self.nvars))
+        key = self._key
+        self.packed[:] = [
+            (key(lm), lc, tuple((key(mu), d) for mu, d in tail))
+            for lm, lc, tail in divisors
+        ]
+        return {key(nu): v for nu, v in terms}
+
+    def _key(self, nu) -> int:
+        key = 0
+        for e in nu:
+            key = (key << self.bits) | e
+        return key
+
+    def _exponents(self, key: int) -> tuple:
+        mask = (1 << self.bits) - 1
+        nu = []
+        for _ in range(self.nvars):
+            nu.append(key & mask)
+            key >>= self.bits
+        return tuple(reversed(nu))
+
+    def integer_terms(self, p: Polynomial) -> dict:
+        """The primitive integer multiple of the nonzero p, keyed by packed
+        monomial; the fields are widened first if an exponent needs it."""
+        if p.nvars != self.nvars:
+            raise ValueError(f"nvars mismatch: {p.nvars} vs {self.nvars}")
+        if not all(isinstance(c, Fraction) for c in p.terms.values()):
+            raise ValueError("ideal computations run over the rationals")
+        top = max(map(max, p.terms)) if self.nvars else 0
+        if top >= self.half:
+            self._set_width(top.bit_length() + 1)
+        return _primitive({self._key(nu): c for nu, c in p.terms.items()})
+
+    def polynomial(self, terms, ratio: Fraction) -> Polynomial:
+        """The Polynomial of packed (monomial, integer) ``terms`` times ``ratio``."""
+        return Polynomial(self.nvars, {self._exponents(k): v * ratio for k, v in terms})
+
+    def insert(self, i: int, terms: dict):
+        """Put the divisor with nonzero integer ``terms`` at position i."""
+        terms = _divide_content(terms)
+        lm = max(terms)
+        sign = -1 if terms[lm] < 0 else 1
+        tail = tuple((k, sign * v) for k, v in terms.items() if k != lm)
+        self.packed.insert(i, (lm, sign * terms[lm], tail))
+        low, bit = (1 << i) - 1, 1 << i
+        for table, e in zip(self.index, self._exponents(lm)):
+            table.extend(table[-1:] * (e + 1 - len(table)))
+            for k, t in enumerate(table):
+                t = (t & low) | (t >> i << (i + 1))
+                table[k] = t | bit if k >= e else t
+
+    def append(self, g: Polynomial):
+        """Put the nonzero g last."""
+        self.insert(len(self.packed), self.integer_terms(g))
+
+    def pop(self, i: int) -> dict:
+        """Remove divisor i; return its integer terms."""
+        low = (1 << i) - 1
+        for table in self.index:
+            for k, t in enumerate(table):
+                table[k] = (t & low) | (t >> (i + 1) << i)
+        lm, lc, tail = self.packed.pop(i)
+        return dict(((lm, lc), *tail))
+
+    def normal_form(self, p: Polynomial) -> Polynomial:
+        """The remainder of p, equal to that of division over Fractions."""
+        if not p.terms:
+            return Polynomial(p.nvars)
+        terms = self.integer_terms(p)
+        nu, c = next(iter(p.terms.items()))
+        ratio = c / terms[self._key(nu)]
+        remainder, scale = self.divide(terms)
+        return self.polynomial(remainder.items(), ratio / scale)
+
+    def divide(self, terms: dict) -> tuple:
+        """(R, scale): the remainder of the integer ``terms`` is R / scale,
+        R keyed in the width the division ended with."""
+        while True:
+            reduced = self._reduce(dict(terms))
+            if reduced is not None:
+                return reduced
+            terms = self._set_width(2 * self.bits, terms)
+
+    def _reduce(self, work: dict):
+        """(remainder, scale) of the integer terms ``work``, which it
+        consumes; None if a monomial would overflow its field."""
+        guard = self.guard
+        mask = (1 << self.bits) - 1
+        fields = [
+            (self.bits * (self.nvars - 1 - v), table, len(table))
+            for v, table in enumerate(self.index)
+        ]
+        packed = self.packed
+        everyone = (1 << len(packed)) - 1
+        remainder: dict = {}
+        scale = 1
+        while work:
+            nu = max(work)
+            c = work.pop(nu)
+            hits = everyone
+            for shift, table, size in fields:
+                e = (nu >> shift) & mask
+                if e < size:
+                    hits &= table[e]
+            if not hits:
+                remainder[nu] = c
+                continue
+            # The first divisor in list order whose leading monomial divides nu.
+            lm, lc, tail = packed[(hits & -hits).bit_length() - 1]
+            q = nu - lm
+            g = gcd(c, lc)
+            if g != lc:
+                a = lc // g
+                scale *= a
+                for k in work:
+                    work[k] *= a
+                for k in remainder:
+                    remainder[k] *= a
+            b = c // g
+            for mu, d in tail:
+                key = q + mu
+                if key & guard:
+                    return None
+                # Drop a cancelled term at once: the loop pops max(work), so
+                # a stored zero would be "reduced" and spawn further zeros.
+                # b * d != 0, so a zero value means the key was present.
+                value = work.get(key, 0) - b * d
+                if value:
+                    work[key] = value
+                else:
+                    del work[key]
+        return remainder, scale
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -112,15 +294,19 @@ def _autoreduce(polys) -> list:
     at least as large, so a polynomial re-inserted at its sorted place can
     make only the ones after it reducible.
     """
-    polys = sorted((p.monic() for p in polys if p.terms), key=_leading)
+    polys = sorted((p for p in polys if p.terms), key=_leading)
+    if not polys:
+        return []
+    divisors = _Divisors(polys[0].nvars, polys)
+    packed = divisors.packed
     i = 0
-    while i < len(polys):
-        r = normal_form(polys.pop(i), polys)
-        if r.terms:
-            i = bisect.bisect_left(polys, _leading(r), key=_leading)
-            polys.insert(i, r.monic())
+    while i < len(packed):
+        remainder, _ = divisors.divide(divisors.pop(i))
+        if remainder:
+            i = bisect.bisect_left(packed, max(remainder), key=itemgetter(0))
+            divisors.insert(i, remainder)
             i += 1
-    return polys
+    return [divisors.polynomial(((lm, lc), *tail), Fraction(1, lc)) for lm, lc, tail in packed]
 
 
 def _validate_generators(generators, degree_bound):
@@ -135,8 +321,6 @@ def _validate_generators(generators, degree_bound):
             raise ValueError("generators have mixed variable counts")
         if not g.is_homogeneous():
             raise ValueError(f"generator {g} is not homogeneous")
-        if any(not isinstance(c, Fraction) for c in g.terms.values()):
-            raise ValueError("ideal computations run over the rationals")
         if g.degree() > degree_bound:
             raise ValueError(
                 f"generator degree {g.degree()} exceeds bound {degree_bound}"
@@ -159,6 +343,7 @@ def buchberger(generators, degree_bound: int, nvars: int | None = None) -> Groeb
     if nvars is None:
         raise ValueError("cannot infer the variable count of an empty basis")
     basis = _autoreduce(polys)
+    divisors = _Divisors(nvars, basis, degree_bound)
     heap: list = []
 
     def push_pairs(j):
@@ -176,9 +361,10 @@ def buchberger(generators, degree_bound: int, nvars: int | None = None) -> Groeb
         push_pairs(j)
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        remainder = normal_form(s_polynomial(basis[i], basis[j]), divisors)
         if remainder.terms:
             basis.append(remainder.monic())
+            divisors.append(basis[-1])
             push_pairs(len(basis) - 1)
     ordered = tuple(sorted(basis, key=_leading, reverse=True))
     return GroebnerBasis(nvars, ordered, degree_bound, reduced=False)

@@ -1,12 +1,14 @@
 """The truncated Buchberger engine and the quasi-invariant ideal."""
 
+import bisect
 import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from quasicov import groebner
 from quasicov.groebner import (
     GroebnerBasis,
     StandardMonomialSet,
@@ -26,7 +28,12 @@ from quasicov.groebner import (
     verify_buchberger_criterion,
 )
 from quasicov.paths import catalan, minimal_transdiagonal, quotient_basis
-from quasicov.polynomials import Polynomial, exponent_vectors, parse_polynomial
+from quasicov.polynomials import (
+    Polynomial,
+    exponent_vectors,
+    parse_polynomial,
+    promote_to_cyclotomic,
+)
 from quasicov.qsym import quasi_invariant_generators
 
 
@@ -77,6 +84,88 @@ def test_normal_form_reduces_by_the_first_divisor_in_list_order():
     assert normal_form(p, [f, g]) == P("-x2^3", 2)
     assert normal_form(p, GroebnerBasis(2, (f, g), 3, reduced=False)) == P("-x2^3", 2)
     assert normal_form(p, [g, f]).is_zero()
+
+
+def _fraction_normal_form(p, basis):
+    """Reference division over Fractions on exponent tuples: the largest
+    monomial is reduced by the first divisor in list order that divides it."""
+    if isinstance(basis, GroebnerBasis):
+        divisors = basis.generators
+    else:
+        divisors = [g for g in basis if g.terms]
+    leads = [(g.leading_monomial(), g) for g in divisors]
+    work = dict(p.terms)
+    remainder = {}
+    while work:
+        nu = max(work)
+        c = work.pop(nu)
+        for (lm, lc), g in leads:
+            if all(a <= b for a, b in zip(lm, nu)):
+                factor = c / lc
+                for mu, d in g.terms.items():
+                    if mu != lm:
+                        key = tuple(a + b - l for a, b, l in zip(nu, mu, lm))
+                        value = work.get(key, 0) - factor * d
+                        if value:
+                            work[key] = value
+                        else:
+                            del work[key]
+                break
+        else:
+            remainder[nu] = c
+    return Polynomial(p.nvars, remainder)
+
+
+def _polynomials(n, max_terms):
+    """Rational polynomials in n variables: negative and fractional
+    coefficients, not monic and not homogeneous."""
+    coefficient = st.builds(
+        Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4)
+    )
+    monomial = st.tuples(*[st.integers(0, 3)] * n)
+    return st.dictionaries(monomial, coefficient, min_size=1, max_size=max_terms).map(
+        lambda terms: Polynomial(n, terms)
+    )
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(_polynomials(n, 6), st.lists(_polynomials(n, 4), max_size=4))
+    )
+)
+def test_normal_form_matches_fraction_division(drawn):
+    p, divisors = drawn
+    expected = _fraction_normal_form(p, divisors)
+    assert normal_form(p, divisors) == expected
+    bound = max(g.degree() for g in [p, *divisors])
+    basis = GroebnerBasis(p.nvars, tuple(divisors), bound, reduced=False)
+    assert normal_form(p, basis) == expected
+
+
+def test_normal_form_widens_an_overflowing_field():
+    # The fields fit exponents up to 7; reducing x1^5 by x1 - x2^7 reaches x2^35.
+    p, divisors = P("x1^5", 2), [P("x1 - x2^7", 2)]
+    assert _fraction_normal_form(p, divisors) == P("x2^35", 2)
+    assert normal_form(p, divisors) == P("x2^35", 2)
+    basis = GroebnerBasis(2, tuple(divisors), 7, reduced=False)
+    assert normal_form(p, basis) == P("x2^35", 2)
+    assert normal_form(P("x1^4 + x1*x2", 2), basis) == P("x2^28 + x2^8", 2)
+
+
+def test_normal_form_rejects_cyclotomic_coefficients():
+    f = P("x1 + x2", 2)
+    z = promote_to_cyclotomic(f, 3)
+    for p, basis in [(z, [f]), (f, [z]), (z, _basis([f], 2)), (f, _basis([z], 2))]:
+        with pytest.raises(ValueError, match="ideal computations run over the rationals"):
+            normal_form(p, basis)
+
+
+def test_normal_form_rejects_mixed_variable_counts():
+    with pytest.raises(ValueError):
+        normal_form(P("x1^2", 2), [P("x1", 1)])
+    with pytest.raises(ValueError):
+        normal_form(P("x1^2", 1), _basis([P("x1", 2)], 3))
 
 
 def test_s_polynomial():
@@ -168,6 +257,80 @@ def test_autoreduce_matches_restart_loop():
         assert [str(g) for g in _autoreduce(polys)] == expected
 
 
+def _fraction_autoreduce(polys):
+    """Reference interreduction: the same sweep as ``_autoreduce``, over
+    ``_fraction_normal_form``."""
+    polys = sorted((p.monic() for p in polys if p.terms), key=lambda q: q.leading_monomial()[0])
+    i = 0
+    while i < len(polys):
+        r = _fraction_normal_form(polys.pop(i), polys)
+        if r.terms:
+            lead = r.leading_monomial()[0]
+            i = bisect.bisect_left(polys, lead, key=lambda q: q.leading_monomial()[0])
+            polys.insert(i, r.monic())
+            i += 1
+    return polys
+
+
+class _PolynomialList(list):
+    """Stands in for the packed divisors: the polynomials, in list order."""
+
+    def __init__(self, nvars, polys=(), degree=0):
+        super().__init__(g for g in polys if g.terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_engine_matches_fraction_division(n, m, monkeypatch):
+    bound = default_degree_bound(n, m)
+    gens = quasi_invariant_generators(n, m, bound)
+    assert _autoreduce(gens) == _fraction_autoreduce(gens)
+    basis = reduced_groebner_basis(gens, bound)
+    # Run the same engine with the Fraction reference in place of every
+    # use of the packed kernel: buchberger's divisors become a plain list.
+    monkeypatch.setattr(groebner, "normal_form", _fraction_normal_form)
+    monkeypatch.setattr(groebner, "_autoreduce", _fraction_autoreduce)
+    monkeypatch.setattr(groebner, "_Divisors", _PolynomialList)
+    assert reduced_groebner_basis(gens, bound) == basis
+
+
+@pytest.mark.parametrize("n,m,expected", [(5, 2, (119, 155, 153)), (6, 1, (63, 81, 63))])
+def test_spair_counts_of_the_benchmark_sentinels(n, m, expected, monkeypatch):
+    """Generators in, S-pairs reduced and S-pairs reduced to zero, counted
+    at the boundaries perfbench/tracing.py wraps: an S-pair is a call of
+    s_polynomial, and it reduced to zero when the next normal_form call
+    takes its result and returns zero."""
+    counts = [0, 0, 0]
+    last = []
+    buchberger_, s_polynomial_, normal_form_ = (
+        groebner.buchberger, groebner.s_polynomial, groebner.normal_form
+    )
+
+    def counted_buchberger(generators, *args, **kwargs):
+        counts[0] += sum(1 for g in generators if g.terms)
+        return buchberger_(generators, *args, **kwargs)
+
+    def counted_s_polynomial(f, g):
+        result = s_polynomial_(f, g)
+        counts[1] += 1
+        last[:] = [result]
+        return result
+
+    def counted_normal_form(p, basis):
+        result = normal_form_(p, basis)
+        if last and p is last[0]:
+            counts[2] += not result.terms
+            last.clear()
+        return result
+
+    monkeypatch.setattr(groebner, "buchberger", counted_buchberger)
+    monkeypatch.setattr(groebner, "s_polynomial", counted_s_polynomial)
+    monkeypatch.setattr(groebner, "normal_form", counted_normal_form)
+    bound = default_degree_bound(n, m)
+    reduced_groebner_basis(quasi_invariant_generators(n, m, bound), bound, nvars=n)
+    assert tuple(counts) == expected
+
+
 def test_reduced_basis_is_presentation_independent():
     gens = quasi_invariant_generators(3, 1, default_degree_bound(3, 1))
     reference = reduced_groebner_basis(gens, default_degree_bound(3, 1))
@@ -180,7 +343,9 @@ def test_reduced_basis_is_presentation_independent():
         assert again.generators == reference.generators
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize(
+    "n,m", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 3), (5, 2), (6, 1)]
+)
 def test_buchberger_criterion_self_check(n, m):
     assert verify_buchberger_criterion(quasi_ideal_basis(n, m))
 
@@ -332,7 +497,9 @@ def test_standard_monomials_equal_path_basis(n, m):
     assert len(sms.monomials) == m**n * catalan(n)
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+@pytest.mark.parametrize(
+    "n,m", [(1, 1), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 3), (5, 2), (6, 1)]
+)
 def test_stabilization_of_the_degree_truncation(n, m):
     assert stabilization_check(n, m)
 

@@ -26,7 +26,7 @@ from math import factorial
 from .errors import ResourceLimitError
 from .linalg import DEFAULT_MAX_MATRIX_ENTRIES, kernel_dimension
 from .polynomials import Polynomial, exponent_vectors, promote_to_cyclotomic
-from .scalars import Cyclotomic
+from .scalars import Cyclotomic, multiplication_block
 
 DEFAULT_MAX_GROUP_ORDER = 10_000
 
@@ -173,15 +173,21 @@ def _extend_linearly(image, g: GroupElement, p: Polynomial) -> Polynomial:
     """Apply a monomial image function term by term over Q(zeta_m)."""
     if p.nvars != g.n:
         raise ValueError(f"polynomial has {p.nvars} variables, element acts on {g.n}")
-    # Each power of zeta is built once, and only if some term needs it: a
-    # power at or past phi(m) costs a division by Phi_m.
-    powers: dict = {}
+    # A term's image coefficient is coeff * zeta^phase.  It is computed as
+    # the integer block of "multiply by zeta^phase" (the regular
+    # representation) applied to coeff's power-basis coefficients, so no
+    # product is reduced by Phi_m.  Each block is built once, on first use.
+    m = g.m
+    blocks: dict = {}
     acc: dict = {}
-    for nu, coeff in promote_to_cyclotomic(p, g.m).terms.items():
+    for nu, coeff in promote_to_cyclotomic(p, m).terms.items():
         mu, phase = image(g, nu)
-        if phase not in powers:
-            powers[phase] = Cyclotomic.zeta(g.m, phase)
-        acc[mu] = acc.get(mu, 0) + coeff * powers[phase]
+        block = blocks.get(phase)
+        if block is None:
+            block = blocks[phase] = multiplication_block(Cyclotomic.zeta(m, phase), m)
+        cs = coeff.coeffs
+        v = Cyclotomic(m, [sum([cs[t] * x for t, x in row]) for row in block])
+        acc[mu] = acc[mu] + v if mu in acc else v
     return Polynomial(g.n, acc)
 
 

@@ -6,12 +6,12 @@ keeps only their nonzeros, as rows ``{column: int}``:
 - A rational row is scaled by the lcm of its denominators and divided by
   the gcd of its entries, which leaves the row space unchanged.
 - Over Q(zeta_m) every entry v, rational ones included, becomes the
-  phi(m) x phi(m) integer block of "multiply by v" on the power basis
-  1, z, ..., z^(phi-1) (block column t, row s holds coefficient s of
-  v * zeta^t).  This regular representation is an injective ring map
-  Q(zeta_m) -> Q^(phi x phi), so a matrix of rank r over Q(zeta_m) becomes
-  one of rank phi * r over Q.  Entries of two different orders are an
-  error.
+  phi(m) x phi(m) block of "multiply by v" on the power basis
+  1, z, ..., z^(phi-1) (``scalars.multiplication_block``: block column t,
+  row s holds coefficient s of v * zeta^t).  This regular representation
+  is an injective ring map Q(zeta_m) -> Q^(phi x phi), so a matrix of rank
+  r over Q(zeta_m) becomes one of rank phi * r over Q.  Entries of two
+  different orders are an error.
 
 Elimination is fraction-free: it divides only by gcds, exactly.  Rows are
 taken fewest nonzeros first (a stable sort, so the order is deterministic);
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .scalars import Cyclotomic, cyclotomic_polynomial, euler_phi
+from .scalars import Cyclotomic, euler_phi, multiplication_block
 
 # Default cap on the dense entries of a linear system built for
 # ``kernel_dimension``: the kernel-oracle and the fixed-space systems.
@@ -48,28 +48,6 @@ def _divide_content(row: dict) -> dict:
     if g != 1:
         row = {c: v // g for c, v in row.items()}
     return row
-
-
-def _multiplication_block(value, order: int) -> tuple:
-    """Rows s = 0..phi-1 of the matrix of "multiply by value" in Q(zeta_m),
-    each as (t, coefficient) pairs for its nonzero columns t."""
-    phi = euler_phi(order)
-    tail = cyclotomic_polynomial(order)[:phi]  # z^phi = -sum tail[k] z^k
-    if isinstance(value, Cyclotomic):
-        coeffs = list(value.coeffs)
-    else:
-        coeffs = [value] + [0] * (phi - 1)
-    columns = [coeffs]
-    for _ in range(phi - 1):
-        top = coeffs[-1]
-        coeffs = [-top * tail[0]] + [
-            coeffs[k - 1] - top * tail[k] for k in range(1, phi)
-        ]
-        columns.append(coeffs)
-    return tuple(
-        tuple((t, col[s]) for t, col in enumerate(columns) if col[s])
-        for s in range(phi)
-    )
 
 
 def _integer_rows(rows) -> tuple[list, int]:
@@ -99,7 +77,7 @@ def _integer_rows(rows) -> tuple[list, int]:
         for c, v in entries.items():
             block = blocks.get(v)
             if block is None:
-                block = blocks[v] = _multiplication_block(v, order)
+                block = blocks[v] = multiplication_block(v, order)
             placed.append((c * phi, block))
         for s in range(phi):
             row = {base + t: x for base, block in placed for t, x in block[s]}

@@ -384,5 +384,5 @@ def parse_polynomial(text: str, nvars: int, order: int | None = None) -> Polynom
         if order is not None and not isinstance(coeff, Cyclotomic):
             coeff = Cyclotomic.from_rational(order, coeff)
         key = tuple(exps)
-        acc[key] = acc.get(key, 0) + coeff
+        acc[key] = acc[key] + coeff if key in acc else coeff
     return Polynomial(nvars, acc)

@@ -8,6 +8,14 @@ coefficient vector in the power basis 1, z, ..., z^(phi(m)-1) of
 Q[z]/(Phi_m(z)).  Reducing modulo the m-th cyclotomic polynomial Phi_m
 (rather than z^m - 1) keeps the quotient a field: every nonzero element is
 invertible, and the class of z has multiplicative order exactly m.
+
+The regular representation lives here too: ``multiplication_block(v, m)``
+is the phi(m) x phi(m) matrix of "multiply by v" on that power basis.  It
+is an injective ring map Q(zeta_m) -> Q^(phi x phi), and its integer
+blocks serve two callers: ``linalg.rank`` turns cyclotomic rows into
+integer rows with it, and the group actions multiply each term's
+coefficient by zeta^phase through the block of zeta^phase, with no
+division by Phi_m.
 """
 
 from __future__ import annotations
@@ -79,22 +87,47 @@ def _poly_mul(a, b):
     return _trim(out)
 
 
+def _mobius(k: int) -> int:
+    """The Moebius function: 0 unless k is squarefree, else (-1)^(primes)."""
+    sign = 1
+    p = 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if k > 1 else sign
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_m, ascending; monic of degree phi(m).
 
-    Computed by exact division: z^m - 1 = prod over divisors d of m of Phi_d.
+    Computed in integers from the Moebius form of z^m - 1 = prod_{d | m}
+    Phi_d, that is Phi_m = prod_{d | m} (z^d - 1)^mu(m/d): multiply by the
+    binomials with mu = 1, then divide exactly, by synthetic division, by
+    those with mu = -1.
     """
     if m < 1:
         raise ValueError(f"cyclotomic polynomial needs m >= 1, got {m}")
-    poly = [Fraction(-1)] + [_ZERO] * (m - 1) + [_ONE]
-    for d in range(1, m):
-        if m % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            assert not rem
-    result = tuple(int(c) for c in poly)
-    assert all(Fraction(c) == p for c, p in zip(result, poly))
-    return result
+    mu = {d: _mobius(m // d) for d in range(1, m + 1) if m % d == 0}
+    poly = [1]
+    for d in mu:
+        if mu[d] == 1:
+            product = [-c for c in poly] + [0] * d
+            for i, c in enumerate(poly):
+                product[i + d] += c
+            poly = product
+    for d in mu:
+        if mu[d] == -1:
+            # poly = q * (z^d - 1) gives q[i] = q[i - d] - poly[i], from the bottom
+            q = [0] * (len(poly) - d)
+            for i in range(len(q)):
+                q[i] = (q[i - d] if i >= d else 0) - poly[i]
+            poly = q
+    return tuple(poly)
 
 
 def _ext_gcd(a, b):
@@ -336,3 +369,32 @@ class Cyclotomic:
 def root_of_unity_power(m: int, k: int) -> Cyclotomic:
     """The canonical class of z^(k mod m) in Q(zeta_m)."""
     return Cyclotomic.zeta(m, k)
+
+
+# ---- the regular representation -----------------------------------------
+
+def multiplication_block(value, order: int) -> tuple:
+    """Rows s = 0..phi-1 of the matrix of "multiply by value" in Q(zeta_m),
+    each as (t, coefficient) pairs for its nonzero columns t.
+
+    Column t holds the power-basis coefficients of value * z^t, so row s
+    applied to the coefficients c of any element gives coefficient s of
+    value * c.  ``value`` is a ``Cyclotomic`` of this order or a rational.
+    """
+    phi = euler_phi(order)
+    tail = cyclotomic_polynomial(order)[:phi]  # z^phi = -sum tail[k] z^k
+    if isinstance(value, Cyclotomic):
+        coeffs = list(value.coeffs)
+    else:
+        coeffs = [value] + [0] * (phi - 1)
+    columns = [coeffs]
+    for _ in range(phi - 1):
+        top = coeffs[-1]
+        coeffs = [-top * tail[0]] + [
+            coeffs[k - 1] - top * tail[k] for k in range(1, phi)
+        ]
+        columns.append(coeffs)
+    return tuple(
+        tuple((t, col[s]) for t, col in enumerate(columns) if col[s])
+        for s in range(phi)
+    )

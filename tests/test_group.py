@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quasicov import verify
 from quasicov.errors import ResourceLimitError
@@ -33,9 +34,10 @@ from quasicov.polynomials import (
     exponent_vectors,
     parse_polynomial,
     promote_to_cyclotomic,
+    render_polynomial,
 )
 from quasicov.qsym import compositions_of, elementary_symmetric_power, monomial_qsym
-from quasicov.scalars import Cyclotomic
+from quasicov.scalars import Cyclotomic, euler_phi
 
 EXAMPLE_ELEMENT = "tau=3,1,2;weights=1,0,1"
 
@@ -322,3 +324,76 @@ def test_classical_fixed_space_dimension(n, m):
     for d in range(7):
         expected = _partitions_with_part_at_most(d // m, n) if d % m == 0 else 0
         assert fixed_space_dimension(n, m, d, "classical") == expected
+
+
+# ---- the actions against a reference extension, and beyond the cap ---------
+
+def _reference_extend(image, g, p):
+    """The action extended term by term with general products: each image
+    coefficient is coeff * zeta^phase, reduced modulo Phi_m."""
+    acc = {}
+    for nu, coeff in promote_to_cyclotomic(p, g.m).terms.items():
+        mu, phase = image(g, nu)
+        acc[mu] = acc.get(mu, 0) + coeff * Cyclotomic.zeta(g.m, phase)
+    return Polynomial(g.n, acc)
+
+
+@st.composite
+def elements(draw, n, m):
+    tau = draw(st.permutations(range(1, n + 1)))
+    weights = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    return GroupElement(n, m, tuple(tau), tuple(weights))
+
+
+@st.composite
+def polynomials(draw, n, m):
+    """Rational or cyclotomic polynomials in n variables, up to 6 terms."""
+    rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    if draw(st.booleans()):
+        coeff = rational
+    else:
+        size = euler_phi(m) + 1  # one past phi, so some literals reduce
+        coeff = st.lists(rational, max_size=size).map(lambda cs: Cyclotomic(m, cs))
+    exps = st.tuples(*[st.integers(0, 5)] * n)
+    return Polynomial(n, draw(st.dictionaries(exps, coeff, max_size=6)))
+
+
+ACTIONS = [(quasi_act, _quasi_image), (classical_act, _classical_image)]
+
+
+@pytest.mark.parametrize("act,image", ACTIONS)
+@given(data=st.data())
+def test_actions_match_the_reference_extension(act, image, data):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]))
+    g = data.draw(elements(n, m))
+    p = data.draw(polynomials(n, m))
+    result = act(g, p)
+    expected = _reference_extend(image, g, p)
+    assert result == expected
+    assert render_polynomial(result) == render_polynomial(expected)
+    assert 0 not in result.terms.values()
+
+
+@pytest.mark.parametrize("act", [quasi_act, classical_act])
+@pytest.mark.parametrize("n,m", [(6, 2), (7, 3), (8, 2), (8, 5)])
+def test_action_axioms_beyond_the_enumeration_cap(act, n, m):
+    with pytest.raises(ResourceLimitError):
+        enumerate_group(n, m)
+    rng = random.Random(1000 * n + m)
+
+    def element():
+        tau = list(range(1, n + 1))
+        rng.shuffle(tau)
+        return GroupElement(n, m, tuple(tau), tuple(rng.randrange(m) for _ in range(n)))
+
+    for _ in range(6):
+        g, h = element(), element()
+        terms = {}
+        for _ in range(12):
+            nu = tuple(rng.randrange(2 * m + 1) for _ in range(n))
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(euler_phi(m))]
+            terms[nu] = Cyclotomic(m, coeffs)
+        for p in (Polynomial(n, terms), Polynomial(n, {nu: 1 for nu in terms})):
+            assert act(group_mul(g, h), p) == act(g, act(h, p))
+            assert act(inverse(g), act(g, p)) == promote_to_cyclotomic(p, m)

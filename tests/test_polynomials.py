@@ -214,6 +214,25 @@ def test_parse_drops_cancelled_terms():
     assert_cancelled_to(p, Polynomial.zero(2))
 
 
+def test_parse_sums_repeated_monomials():
+    # Over Q(zeta_3): partial sums, and a full cancellation that stores no zero.
+    p = parse_polynomial("x1 + (z)*x1 - x1", 2, order=3)
+    assert p.terms == {(1, 0): Cyclotomic.zeta(3)}
+    assert render_polynomial(p) == "(z)*x1"
+    q = parse_polynomial("(1-z)*x2 + (z-1)*x2", 2, order=3)
+    assert_cancelled_to(q, Polynomial.zero(2))
+    assert q.terms == {}
+    r = parse_polynomial("(1-z)*x2 + x1 + (z-1)*x2 + 2", 2, order=3)
+    assert_cancelled_to(r, P("x1 + 2", 2, order=3))
+    # Over Q the same sums, with Fraction coefficients.
+    p = parse_polynomial("x1 + 2*x1 - x1", 2)
+    assert p.terms == {(1, 0): Fraction(2)}
+    assert render_polynomial(p) == "2*x1"
+    q = parse_polynomial("1/2*x2 + x1 - 1/2*x2", 2)
+    assert_cancelled_to(q, P("x1", 2))
+    assert_cancelled_to(parse_polynomial("3*x2^2 - x2^2 - 2*x2^2", 2), Polynomial.zero(2))
+
+
 def test_promotion():
     p = P("x1 - x2", 2)
     q = promote_to_cyclotomic(p, 4)

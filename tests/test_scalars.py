@@ -1,15 +1,19 @@
 """Exact rational and cyclotomic arithmetic."""
 
 import random
+import time
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasicov.scalars import (
     Cyclotomic,
     cyclotomic_polynomial,
     euler_phi,
+    multiplication_block,
     root_of_unity_power,
 )
 
@@ -39,6 +43,47 @@ def test_cyclotomic_product_over_divisors(m):
     expected = [-1] + [0] * (m - 1) + [1]
     assert product == expected
     assert len(cyclotomic_polynomial(m)) == euler_phi(m) + 1
+
+
+def _exact_quotient(num, den):
+    """num / den in Q[z] for a monic den that divides num exactly."""
+    num = list(num)
+    quot = [Fraction(0)] * (len(num) - len(den) + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        c = num[shift + len(den) - 1]
+        quot[shift] = c
+        for i, dc in enumerate(den):
+            num[shift + i] -= c * dc
+    assert not any(num)
+    return quot
+
+
+@lru_cache(maxsize=None)
+def _reference_cyclotomic_polynomial(m):
+    """Phi_m by the recursion z^m - 1 = prod_{d | m} Phi_d: divide z^m - 1
+    by Phi_d for every proper divisor d, in Fractions."""
+    poly = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _exact_quotient(poly, _reference_cyclotomic_polynomial(d))
+    return tuple(int(c) for c in poly)
+
+
+def test_cyclotomic_polynomial_matches_the_division_recursion():
+    for m in range(1, 121):
+        assert cyclotomic_polynomial(m) == _reference_cyclotomic_polynomial(m), m
+
+
+def test_cyclotomic_polynomial_with_many_divisors():
+    # 2310 = 2*3*5*7*11 has 32 divisors; the division recursion took
+    # seconds here, the integer Moebius product milliseconds.
+    cyclotomic_polynomial.cache_clear()
+    start = time.perf_counter()
+    poly = cyclotomic_polynomial(2310)
+    assert time.perf_counter() - start < 1.0
+    assert len(poly) - 1 == euler_phi(2310) == 480
+    assert poly[-1] == 1 and poly == poly[::-1]
+    assert sum(poly) == 1  # Phi_m(1) = 1 unless m is a prime power
 
 
 def test_cyclotomic_polynomial_rejects_zero():
@@ -162,3 +207,55 @@ def test_mixed_scalar_arithmetic():
     assert (1 - z) + (z - 1) == 0
     assert z / 2 == z * Fraction(1, 2)
     assert 1 / z == z.inverse()
+
+
+def _times_block(block, coeffs):
+    """The block applied to a power-basis coefficient vector."""
+    return [sum(coeffs[t] * x for t, x in row) for row in block]
+
+
+# Every order up to 12 plus a few with larger phi.
+BLOCK_ORDERS = list(range(1, 13)) + [15, 18, 24, 30]
+
+
+@lru_cache(maxsize=None)
+def _power_blocks(m):
+    return [multiplication_block(Cyclotomic.zeta(m, k), m) for k in range(m)]
+
+
+def _coefficients(m):
+    return st.lists(
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+        min_size=euler_phi(m),
+        max_size=euler_phi(m),
+    )
+
+
+@pytest.mark.parametrize("m", BLOCK_ORDERS)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_power_blocks_multiply_by_roots_of_unity(m, data):
+    c = Cyclotomic(m, data.draw(_coefficients(m)))
+    for k, block in enumerate(_power_blocks(m)):
+        assert Cyclotomic(m, _times_block(block, c.coeffs)) == c * Cyclotomic.zeta(m, k)
+
+
+def test_power_blocks_at_order_105():
+    # 105 is the first order whose Phi_m has a coefficient outside {-1, 0, 1};
+    # the phases straddle phi(105) = 48, where the first fold happens.
+    m = 105
+    assert min(cyclotomic_polynomial(m)) == -2
+    c = _random_element(random.Random(105), m)
+    for k in (0, 1, 47, 48, 49, 77, 104):
+        block = multiplication_block(Cyclotomic.zeta(m, k), m)
+        assert Cyclotomic(m, _times_block(block, c.coeffs)) == c * Cyclotomic.zeta(m, k)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 12])
+@given(data=st.data())
+def test_multiplication_block_of_any_value(m, data):
+    v = Cyclotomic(m, data.draw(_coefficients(m)))
+    c = Cyclotomic(m, data.draw(_coefficients(m)))
+    assert Cyclotomic(m, _times_block(multiplication_block(v, m), c.coeffs)) == v * c
+    half = Fraction(1, 2)
+    assert Cyclotomic(m, _times_block(multiplication_block(half, m), c.coeffs)) == c * half

@@ -13,18 +13,15 @@ certifies that the standard-monomial set is complete.  A stabilization
 re-run with an enlarged bound and generator set guards that choice.
 
 Division runs on packed monomials and integer coefficients.  A monomial
-is one int of nvars fields of ``bits`` bits each, x1 in the highest field,
-and every exponent is kept below half = 2^(bits - 1), so the top bit of
-each field, its guard, is clear.  Then:
+is one int of nvars fields of ``bits`` = D.bit_length() bits each, x1 in
+the highest field, where D bounds the degree of every divisor and of
+every dividend term.  Every divisor is homogeneous.  Then:
 
 - Int order is lex order, and the packed form of nu - lm + mu is the int
   nu - lm + mu.
-- If lm divides nu, q = nu - lm borrows nowhere and has fields below half.
-  The key q + mu of a tail term then has fields below 2 half, so nothing
-  carries, and an exponent has outgrown its field iff a guard bit of the
-  key is set.  The width comes from the degree bound, so only
-  non-homogeneous input can overflow; the division is then redone with
-  fields twice as wide.
+- If lm divides nu, q = nu - lm borrows nowhere, and the key q + mu of a
+  tail term has the degree of nu (mu has that of lm), so no field exceeds
+  D < 2^bits and nothing carries.  The dividend need not be homogeneous.
 - The divisors whose leading monomials divide nu are found without a scan:
   for each variable v, a table holds at each exponent e the bitmask of the
   divisors whose leading monomial has exponent at most e in v.  The AND of
@@ -90,7 +87,7 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
     and p minus the result lies in the ideal the basis generates.  Each
     step reduces the largest remaining monomial by the first divisor, in
     list order, whose leading monomial divides it.  ``basis`` is a
-    ``GroebnerBasis`` or a sequence of rational polynomials.
+    ``GroebnerBasis`` or a sequence of homogeneous rational polynomials.
     """
     if isinstance(basis, GroebnerBasis):
         if p.terms and p.degree() > basis.degree_bound:
@@ -101,12 +98,12 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
     elif isinstance(basis, _Divisors):
         divisors = basis
     else:
-        divisors = _Divisors(p.nvars, basis)
+        divisors = _Divisors(p.nvars, basis, p.degree() if p.terms else 0)
     return divisors.normal_form(p)
 
 
 class _Divisors:
-    """Divisors in list order, packed for division (module docstring).
+    """Homogeneous divisors in list order, packed (module docstring).
 
     A divisor is stored as (lm, lc, tail): the leading monomial and
     coefficient (lc > 0) of its primitive integer multiple, and its other
@@ -117,32 +114,14 @@ class _Divisors:
     """
 
     def __init__(self, nvars: int, polys=(), degree: int = 0):
+        polys = [g for g in polys if g.terms]
         self.nvars = nvars
+        self.degree = max([degree, *(g.degree() for g in polys)])
+        self.bits = max(self.degree.bit_length(), 1)
         self.packed: list = []
         self.index = [[0] for _ in range(nvars)]
-        self._set_width(degree.bit_length() + 1)
         for g in polys:
-            if g.terms:
-                self.append(g)
-
-    def _set_width(self, bits: int, terms=None) -> dict:
-        """Repack every divisor, and the integer ``terms`` if given, into
-        fields of ``bits`` bits; return the repacked terms."""
-        unpack = self._exponents
-        divisors = [
-            (unpack(lm), lc, [(unpack(mu), d) for mu, d in tail])
-            for lm, lc, tail in self.packed
-        ]
-        terms = [(unpack(k), v) for k, v in terms.items()] if terms else []
-        self.bits = bits
-        self.half = 1 << (bits - 1)
-        self.guard = sum(self.half << (bits * v) for v in range(self.nvars))
-        key = self._key
-        self.packed[:] = [
-            (key(lm), lc, tuple((key(mu), d) for mu, d in tail))
-            for lm, lc, tail in divisors
-        ]
-        return {key(nu): v for nu, v in terms}
+            self.append(g)
 
     def _key(self, nu) -> int:
         key = 0
@@ -160,14 +139,13 @@ class _Divisors:
 
     def integer_terms(self, p: Polynomial) -> dict:
         """The primitive integer multiple of the nonzero p, keyed by packed
-        monomial; the fields are widened first if an exponent needs it."""
+        monomial."""
         if p.nvars != self.nvars:
             raise ValueError(f"nvars mismatch: {p.nvars} vs {self.nvars}")
         if not all(isinstance(c, Fraction) for c in p.terms.values()):
             raise ValueError("ideal computations run over the rationals")
-        top = max(map(max, p.terms)) if self.nvars else 0
-        if top >= self.half:
-            self._set_width(top.bit_length() + 1)
+        if p.degree() > self.degree:
+            raise ValueError(f"degree {p.degree()} exceeds packed degree {self.degree}")
         return _primitive({self._key(nu): c for nu, c in p.terms.items()})
 
     def polynomial(self, terms, ratio: Fraction) -> Polynomial:
@@ -175,7 +153,7 @@ class _Divisors:
         return Polynomial(self.nvars, {self._exponents(k): v * ratio for k, v in terms})
 
     def insert(self, i: int, terms: dict):
-        """Put the divisor with nonzero integer ``terms`` at position i."""
+        """Put the divisor with nonzero homogeneous integer ``terms`` at i."""
         terms = _divide_content(terms)
         lm = max(terms)
         sign = -1 if terms[lm] < 0 else 1
@@ -189,7 +167,9 @@ class _Divisors:
                 table[k] = t | bit if k >= e else t
 
     def append(self, g: Polynomial):
-        """Put the nonzero g last."""
+        """Put the nonzero homogeneous g last."""
+        if not g.is_homogeneous():
+            raise ValueError(f"{g} is not homogeneous")
         self.insert(len(self.packed), self.integer_terms(g))
 
     def pop(self, i: int) -> dict:
@@ -211,19 +191,8 @@ class _Divisors:
         remainder, scale = self.divide(terms)
         return self.polynomial(remainder.items(), ratio / scale)
 
-    def divide(self, terms: dict) -> tuple:
-        """(R, scale): the remainder of the integer ``terms`` is R / scale,
-        R keyed in the width the division ended with."""
-        while True:
-            reduced = self._reduce(dict(terms))
-            if reduced is not None:
-                return reduced
-            terms = self._set_width(2 * self.bits, terms)
-
-    def _reduce(self, work: dict):
-        """(remainder, scale) of the integer terms ``work``, which it
-        consumes; None if a monomial would overflow its field."""
-        guard = self.guard
+    def divide(self, work: dict) -> tuple:
+        """(R, scale): R / scale is the remainder of ``work``, consumed here."""
         mask = (1 << self.bits) - 1
         fields = [
             (self.bits * (self.nvars - 1 - v), table, len(table))
@@ -258,8 +227,6 @@ class _Divisors:
             b = c // g
             for mu, d in tail:
                 key = q + mu
-                if key & guard:
-                    return None
                 # Drop a cancelled term at once: the loop pops max(work), so
                 # a stored zero would be "reduced" and spawn further zeros.
                 # b * d != 0, so a zero value means the key was present.
@@ -319,8 +286,6 @@ def _validate_generators(generators, degree_bound):
             nvars = g.nvars
         elif g.nvars != nvars:
             raise ValueError("generators have mixed variable counts")
-        if not g.is_homogeneous():
-            raise ValueError(f"generator {g} is not homogeneous")
         if g.degree() > degree_bound:
             raise ValueError(
                 f"generator degree {g.degree()} exceeds bound {degree_bound}"
@@ -343,13 +308,13 @@ def buchberger(generators, degree_bound: int, nvars: int | None = None) -> Groeb
     if nvars is None:
         raise ValueError("cannot infer the variable count of an empty basis")
     basis = _autoreduce(polys)
+    lms = [_leading(g) for g in basis]
     divisors = _Divisors(nvars, basis, degree_bound)
     heap: list = []
 
     def push_pairs(j):
-        lmj = _leading(basis[j])
-        for i in range(j):
-            lmi = _leading(basis[i])
+        lmj = lms[j]
+        for i, lmi in enumerate(lms[:j]):
             if all(min(a, b) == 0 for a, b in zip(lmi, lmj)):
                 continue
             lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
@@ -364,6 +329,7 @@ def buchberger(generators, degree_bound: int, nvars: int | None = None) -> Groeb
         remainder = normal_form(s_polynomial(basis[i], basis[j]), divisors)
         if remainder.terms:
             basis.append(remainder.monic())
+            lms.append(_leading(remainder))
             divisors.append(basis[-1])
             push_pairs(len(basis) - 1)
     ordered = tuple(sorted(basis, key=_leading, reverse=True))
@@ -374,8 +340,7 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     """The unique reduced monic basis with the same initial ideal.  An
     element whose leading monomial another divides reduces to zero, since
     the others still form a basis through the bound."""
-    reduced = _autoreduce(basis.generators)
-    ordered = tuple(sorted(reduced, key=_leading, reverse=True))
+    ordered = tuple(reversed(_autoreduce(basis.generators)))
     return GroebnerBasis(basis.nvars, ordered, basis.degree_bound, reduced=True)
 
 

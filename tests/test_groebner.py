@@ -116,22 +116,36 @@ def _fraction_normal_form(p, basis):
     return Polynomial(p.nvars, remainder)
 
 
+_coefficients = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+
+
 def _polynomials(n, max_terms):
     """Rational polynomials in n variables: negative and fractional
     coefficients, not monic and not homogeneous."""
-    coefficient = st.builds(
-        Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4)
-    )
     monomial = st.tuples(*[st.integers(0, 3)] * n)
-    return st.dictionaries(monomial, coefficient, min_size=1, max_size=max_terms).map(
+    return st.dictionaries(monomial, _coefficients, min_size=1, max_size=max_terms).map(
         lambda terms: Polynomial(n, terms)
     )
+
+
+def _homogeneous_polynomials(n, max_terms):
+    """As ``_polynomials``, but every term of one drawn degree 1..6."""
+
+    def of_degree(d):
+        monomial = st.lists(st.integers(0, n - 1), min_size=d, max_size=d).map(
+            lambda variables: tuple(variables.count(v) for v in range(n))
+        )
+        return st.dictionaries(monomial, _coefficients, min_size=1, max_size=max_terms)
+
+    return st.integers(1, 6).flatmap(of_degree).map(lambda terms: Polynomial(n, terms))
 
 
 @settings(max_examples=200)
 @given(
     st.integers(1, 4).flatmap(
-        lambda n: st.tuples(_polynomials(n, 6), st.lists(_polynomials(n, 4), max_size=4))
+        lambda n: st.tuples(
+            _polynomials(n, 6), st.lists(_homogeneous_polynomials(n, 4), max_size=4)
+        )
     )
 )
 def test_normal_form_matches_fraction_division(drawn):
@@ -143,14 +157,41 @@ def test_normal_form_matches_fraction_division(drawn):
     assert normal_form(p, basis) == expected
 
 
-def test_normal_form_widens_an_overflowing_field():
-    # The fields fit exponents up to 7; reducing x1^5 by x1 - x2^7 reaches x2^35.
-    p, divisors = P("x1^5", 2), [P("x1 - x2^7", 2)]
-    assert _fraction_normal_form(p, divisors) == P("x2^35", 2)
-    assert normal_form(p, divisors) == P("x2^35", 2)
-    basis = GroebnerBasis(2, tuple(divisors), 7, reduced=False)
-    assert normal_form(p, basis) == P("x2^35", 2)
-    assert normal_form(P("x1^4 + x1*x2", 2), basis) == P("x2^28 + x2^8", 2)
+@pytest.mark.parametrize("D", [7, 8, 15, 16])
+def test_normal_form_at_the_packed_width_boundary(D):
+    # Fields are D.bit_length() bits wide, so an exponent of D fits; fields
+    # of (D - 1).bit_length() bits would carry into the next variable at
+    # D = 8 and 16.
+    f = P(f"x1^{D - 1}*x2 - x2^{D} + 3*x3^{D}", 3)
+    g = P(f"x2^{D - 1}*x3 + 2*x3^{D}", 3)
+    p = P(f"x1^{D} + 5*x1^{D - 1}*x2 + x2^{D} - x3^{D} + x1*x2", 3)
+    expected = _fraction_normal_form(p, [f, g])
+    assert (D, 0, 0) in expected.terms and (0, 0, D) in expected.terms
+    assert normal_form(p, [f, g]) == expected
+    assert normal_form(p, GroebnerBasis(3, (f, g), D, reduced=False)) == expected
+
+
+def test_normal_form_of_a_list_packs_for_the_dividend_degree():
+    # Every divisor has degree at most 2, whose fields would hold only 3.
+    p = P("x1^9*x2^3 + 7*x2^12 - x1^5*x3^2", 3)
+    divisors = [P("x1*x2 - x3^2", 3), P("x2^2 + x1*x3", 3)]
+    expected = _fraction_normal_form(p, divisors)
+    assert max(map(max, expected.terms)) > 3
+    assert normal_form(p, divisors) == expected
+    with pytest.raises(ValueError, match="exceeds packed degree"):
+        groebner._Divisors(3, divisors).normal_form(p)
+
+
+def test_normal_form_rejects_inhomogeneous_divisors():
+    # Reducing x1^5 by x1 - x2^7 would reach x2^35, past any width the
+    # degree 7 of the input fixes.
+    f = P("x1 - x2^7", 2)
+    with pytest.raises(ValueError, match="not homogeneous"):
+        normal_form(P("x1^5", 2), [f])
+    with pytest.raises(ValueError, match="not homogeneous"):
+        normal_form(P("x1^5", 2), GroebnerBasis(2, (f,), 7, reduced=False))
+    with pytest.raises(ValueError, match="not homogeneous"):
+        reduce_basis(GroebnerBasis(2, (f,), 7, reduced=False))
 
 
 def test_normal_form_rejects_cyclotomic_coefficients():

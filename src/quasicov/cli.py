@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ResourceLimitError
 from .group import (
@@ -40,15 +40,11 @@ from .polynomials import degree_histogram, parse_polynomial, render_polynomial
 from .verify import SUITES, _check, run_suite
 
 
-@dataclass
-class RunConfig:
-    n: int
-    m: int
-    degree_bound: int | None = None
-    as_json: bool = False
-    out: str | None = None
-    max_group_order: int = DEFAULT_MAX_GROUP_ORDER
-    max_kernel_entries: int = DEFAULT_MAX_MATRIX_ENTRIES
+RunConfig = namedtuple(
+    "RunConfig",
+    "n m degree_bound as_json out max_group_order max_kernel_entries",
+    defaults=(None, False, None, DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MATRIX_ENTRIES),
+)
 
 
 def _vector_text(nu) -> str:

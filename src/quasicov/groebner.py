@@ -40,7 +40,7 @@ times the product of the scales, and ``normal_form`` divides it back out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
@@ -53,12 +53,13 @@ from .polynomials import Polynomial, degree_histogram
 from .qsym import elementary_symmetric_power, quasi_invariant_generators
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    nvars: int
-    generators: tuple  # monic homogeneous Polynomials, descending by leading monomial
-    degree_bound: int
-    reduced: bool
+class GroebnerBasis(namedtuple("GroebnerBasis", "nvars generators degree_bound reduced")):
+    """``generators`` are monic homogeneous Polynomials, descending by
+    leading monomial.  Immutable; the instance dict holds only the cached
+    ``_divisors``."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroebnerBasis values are immutable")
 
     def leading_monomials(self) -> tuple:
         return tuple(g.leading_monomial()[0] for g in self.generators)
@@ -69,12 +70,12 @@ class GroebnerBasis:
         return _Divisors(self.nvars, self.generators, self.degree_bound)
 
 
-@dataclass(frozen=True)
-class StandardMonomialSet:
-    nvars: int
-    monomials: tuple  # exponent vectors, graded-lex ordered
-    degree_bound: int
-    complete: bool
+class StandardMonomialSet(
+    namedtuple("StandardMonomialSet", "nvars monomials degree_bound complete")
+):
+    """``monomials`` are exponent vectors, graded-lex ordered."""
+
+    __slots__ = ()
 
     def degree_histogram(self) -> list:
         return degree_histogram(self.monomials)

@@ -19,7 +19,7 @@ extended linearly to a polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations, product
 from math import factorial
 
@@ -31,22 +31,21 @@ from .scalars import Cyclotomic, multiplication_block
 DEFAULT_MAX_GROUP_ORDER = 10_000
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    n: int
-    m: int
-    tau: tuple  # 1-indexed images: row i has its nonzero entry in column tau[i-1]
-    weights: tuple  # exponents of zeta, one per row
+class GroupElement(namedtuple("GroupElement", "n m tau weights")):
+    """An immutable, validated element.  ``tau`` holds 1-indexed images: row
+    i has its nonzero entry in column tau[i-1]; ``weights`` holds the
+    exponents of zeta, one per row."""
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
-        if sorted(self.tau) != list(range(1, self.n + 1)):
-            raise ValueError(f"tau={self.tau} is not a permutation of 1..{self.n}")
-        if len(self.weights) != self.n or any(
-            not 0 <= a < self.m for a in self.weights
-        ):
-            raise ValueError(f"weights={self.weights} not residues mod {self.m}")
+    __slots__ = ()
+
+    def __new__(cls, n: int, m: int, tau: tuple, weights: tuple):
+        if n < 1 or m < 1:
+            raise ValueError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+        if sorted(tau) != list(range(1, n + 1)):
+            raise ValueError(f"tau={tau} is not a permutation of 1..{n}")
+        if len(weights) != n or any(not 0 <= a < m for a in weights):
+            raise ValueError(f"weights={weights} not residues mod {m}")
+        return super().__new__(cls, n, m, tau, weights)
 
     def __str__(self):
         return render_group_element(self)

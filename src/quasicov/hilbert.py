@@ -17,7 +17,7 @@ callers are expected to surface that mismatch rather than hide it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .errors import ResourceLimitError
@@ -27,9 +27,10 @@ from .polynomials import exponent_factorial, exponent_vectors
 from .qsym import elementary_symmetric_power, quasi_invariant_generators
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
-    coefficients: tuple  # coefficient of t^k at index k; trailing zeros trimmed
+class HilbertSeries(namedtuple("HilbertSeries", "coefficients")):
+    """The coefficient of t^k at index k; trailing zeros trimmed."""
+
+    __slots__ = ()
 
     @classmethod
     def from_coefficients(cls, coefficients) -> "HilbertSeries":

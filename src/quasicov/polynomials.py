@@ -79,7 +79,7 @@ class Polynomial:
         clean = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
+            if len(exps) != nvars or min(exps, default=0) < 0:
                 raise ValueError(f"bad exponent vector {exps} for nvars={nvars}")
             coeff = _coerce_scalar(coeff)
             if coeff:
@@ -243,7 +243,15 @@ class Polynomial:
 
 
 def promote_to_cyclotomic(p: Polynomial, order: int) -> Polynomial:
-    """Embed rational coefficients into Q(zeta_order)."""
+    """Embed rational coefficients into Q(zeta_order).
+
+    A polynomial whose coefficients all lie in Q(zeta_order) already is
+    returned as it is: polynomials are immutable, so sharing it is safe.
+    """
+    if all(
+        isinstance(c, Cyclotomic) and c.order == order for c in p.terms.values()
+    ):
+        return p
     terms = {}
     for exps, coeff in p.terms.items():
         if isinstance(coeff, Cyclotomic):
@@ -307,12 +315,14 @@ def render_polynomial(p: Polynomial) -> str:
     rendered = []
     for exps, coeff in p.sorted_terms():
         mon = _monomial_text(exps)
-        if isinstance(coeff, Cyclotomic) and not coeff.is_rational():
-            body = f"({coeff})*{mon}" if mon else f"({coeff})"
-            rendered.append((False, body))
-            continue
-        value = coeff.rational_value() if isinstance(coeff, Cyclotomic) else coeff
-        negative = value < 0
+        value = coeff
+        if isinstance(coeff, Cyclotomic):
+            if not coeff.is_rational():
+                body = f"({coeff})*{mon}" if mon else f"({coeff})"
+                rendered.append((False, body))
+                continue
+            value = coeff.rational_value()
+        negative = (value if type(value) is int else value.numerator) < 0
         mag = -value if negative else value
         if not mon:
             body = str(mag)
@@ -364,21 +374,22 @@ def parse_polynomial(text: str, nvars: int, order: int | None = None) -> Polynom
             coeff = Cyclotomic.parse(order, first[1:-1])
             idx = 1
         elif _RATIONAL.match(first):
-            coeff = Fraction(first)
+            coeff = Fraction(first) if "/" in first else int(first)
             idx = 1
         exps = [0] * nvars
         for part in parts[idx:]:
             match = _FACTOR.match(part)
             if not match:
                 raise ValueError(f"cannot parse factor {part!r} in {text!r}")
-            i = int(match.group(1))
+            var, power = match.groups()
+            i = int(var)
             if not 1 <= i <= nvars:
                 raise ValueError(f"variable x{i} out of range 1..{nvars}")
-            exps[i - 1] += int(match.group(2)) if match.group(2) else 1
+            exps[i - 1] += int(power) if power else 1
         if coeff is None:
             if idx == 0 and len(parts) == 1 and not _FACTOR.match(first):
                 raise ValueError(f"cannot parse term {chunk!r} in {text!r}")
-            coeff = Fraction(1)
+            coeff = 1
         if negate:
             coeff = -coeff
         if order is not None and not isinstance(coeff, Cyclotomic):

@@ -7,7 +7,12 @@ A cyclotomic number of order m is an element of Q(zeta_m), stored as a
 coefficient vector in the power basis 1, z, ..., z^(phi(m)-1) of
 Q[z]/(Phi_m(z)).  Reducing modulo the m-th cyclotomic polynomial Phi_m
 (rather than z^m - 1) keeps the quotient a field: every nonzero element is
-invertible, and the class of z has multiplicative order exactly m.
+invertible, and the class of z has multiplicative order exactly m.  Each
+coefficient is canonical: an ``int`` when it is integral and a
+``Fraction`` otherwise, never a ``Fraction`` with denominator 1.  Since
+``1 == Fraction(1)`` and both hash alike, equality and hashing stay
+structural, and the integral values that the group actions and the text
+form mostly meet are computed in plain integer arithmetic.
 
 The regular representation lives here too: ``multiplication_block(v, m)``
 is the phi(m) x phi(m) matrix of "multiply by v" on that power basis.  It
@@ -49,6 +54,15 @@ def euler_phi(m: int) -> int:
     return result
 
 
+def _canonical(c):
+    """c as an int when it is integral, else as a Fraction in lowest terms."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _trim(coeffs: list) -> list:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
@@ -78,7 +92,7 @@ def _poly_divmod(num, den):
 def _poly_mul(a, b):
     if not a or not b:
         return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if not ca:
             continue
@@ -130,6 +144,25 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def _reduce_mod_phi(coeffs: list, order: int) -> list:
+    """Canonical coefficients of the remainder of ``coeffs`` modulo Phi_m.
+
+    Phi_m is monic with integer coefficients, so the division needs no
+    quotient by its leading coefficient and keeps integers integral.
+    """
+    phi_m = cyclotomic_polynomial(order)
+    phi = len(phi_m) - 1
+    tail = [(i, p) for i, p in enumerate(phi_m[:phi]) if p]
+    cs = list(coeffs)
+    for top in range(len(cs) - 1, phi - 1, -1):
+        c = cs[top]
+        if c:
+            shift = top - phi
+            for i, p in tail:
+                cs[shift + i] -= c * p
+    return [_canonical(c) for c in cs[:phi]]
+
+
 def _ext_gcd(a, b):
     """Extended Euclid in Q[z]: returns (g, u, v) with u*a + v*b = g."""
     r0, r1 = list(a), list(b)
@@ -164,10 +197,10 @@ class Cyclotomic:
         if order < 1:
             raise ValueError(f"cyclotomic order must be >= 1, got {order}")
         phi = euler_phi(order)
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _canonical(c) for c in coeffs]
         if len(cs) > phi:
-            _, cs = _poly_divmod(cs, cyclotomic_polynomial(order))
-        cs = cs + [_ZERO] * (phi - len(cs))
+            cs = _reduce_mod_phi(cs, order)
+        cs += [0] * (phi - len(cs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -184,7 +217,7 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, order: int, value) -> "Cyclotomic":
-        return cls(order, (Fraction(value),))
+        return cls(order, (value,))
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "Cyclotomic":
@@ -193,9 +226,9 @@ class Cyclotomic:
         return cls(order, (0,) * k + (1,))
 
     def is_rational(self) -> bool:
-        return all(not c for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self) -> int | Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
         return self.coeffs[0]
@@ -282,8 +315,6 @@ class Cyclotomic:
         return any(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
         if isinstance(other, Cyclotomic):
             if self.order == other.order:
                 return self.coeffs == other.coeffs
@@ -292,6 +323,8 @@ class Cyclotomic:
                 and other.is_rational()
                 and self.coeffs[0] == other.coeffs[0]
             )
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational() and self.coeffs[0] == other
         return NotImplemented
 
     def __hash__(self):
@@ -309,8 +342,9 @@ class Cyclotomic:
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
+            negative = (c if type(c) is int else c.numerator) < 0
+            sign = "-" if negative else "+"
+            mag = -c if negative else c
             if i == 0:
                 body = str(mag)
             else:
@@ -324,6 +358,8 @@ class Cyclotomic:
             out += sign + body
         return out
 
+    # Terms start at every sign past the first character.
+    _SIGN = re.compile(r"(?<=.)(?=[+-])", re.DOTALL)
     # A denominator needs a nonzero digit, so "1/0" is a parse error.
     _TERM = re.compile(
         r"^(?P<coef>\d+(?:/\d*[1-9]\d*)?)?(?:(?P<z>z)(?:\^(?P<exp>\d+))?)?$"
@@ -337,15 +373,8 @@ class Cyclotomic:
         s = text.strip().replace(" ", "")
         if s in ("", "0"):
             return cls.zero(order)
-        chunks = []
-        start = 0
-        for i in range(1, len(s)):
-            if s[i] in "+-":
-                chunks.append(s[start:i])
-                start = i
-        chunks.append(s[start:])
-        acc: dict[int, Fraction] = {}
-        for chunk in chunks:
+        acc: dict = {}
+        for chunk in cls._SIGN.split(s):
             sign = 1
             if chunk[0] == "+":
                 chunk = chunk[1:]
@@ -353,17 +382,18 @@ class Cyclotomic:
                 sign = -1
                 chunk = chunk[1:]
             match = cls._TERM.match(chunk)
-            if not match or (match.group("coef") is None and match.group("z") is None):
+            coef, z, exp = match.groups() if match else (None, None, None)
+            if coef is None and z is None:
                 raise ValueError(f"cannot parse cyclotomic term {chunk!r} in {text!r}")
-            coef = Fraction(match.group("coef")) if match.group("coef") else _ONE
-            if match.group("z"):
-                # z^order = 1, so the list below stays shorter than order.
-                exp = int(match.group("exp") or 1) % order
+            if coef is None:
+                coef = 1
             else:
-                exp = 0
-            acc[exp] = acc.get(exp, _ZERO) + sign * coef
+                coef = Fraction(coef) if "/" in coef else int(coef)
+            # z^order = 1, so the list below stays shorter than order.
+            exp = int(exp or 1) % order if z else 0
+            acc[exp] = acc.get(exp, 0) + sign * coef
         top = max(acc)
-        return cls(order, [acc.get(i, _ZERO) for i in range(top + 1)])
+        return cls(order, [acc.get(i, 0) for i in range(top + 1)])
 
 
 def root_of_unity_power(m: int, k: int) -> Cyclotomic:

@@ -251,3 +251,32 @@ def test_cross_process_byte_determinism():
     second = _run_subprocess(argv)
     assert first.returncode == 0
     assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize(
+    "poly,message",
+    [
+        ("(1/0)*x1", "error: cannot parse cyclotomic term '1/0' in '1/0'\n"),
+        ("x0", "error: variable x0 out of range 1..2\n"),
+        ("x1+x2", "error: cannot parse factor 'x1+x2' in 'x1+x2'\n"),
+    ],
+)
+def test_act_parse_errors_keep_their_messages(poly, message, capsys):
+    code, out, err = run_cli(
+        ["act", "--n", "2", "--m", "3", "--element", "tau=1,2;weights=0,0", "--poly", poly],
+        capsys,
+    )
+    assert code == 2
+    assert out == "" and err == message
+
+
+def test_importing_the_cli_does_not_import_dataclasses():
+    # The package defines its records as namedtuples: importing dataclasses
+    # (and with it inspect, ast and dis) would cost every process ~10 ms.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import quasicov.cli, sys; assert 'dataclasses' not in sys.modules"],
+        capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -1,7 +1,6 @@
 """The truncated Buchberger engine and the quasi-invariant ideal."""
 
 import bisect
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -477,7 +476,7 @@ def test_standard_monomials_match_scan_on_monomial_ideals(drawn):
 
 def test_standard_monomials_stop_at_the_first_empty_degree():
     basis = quasi_ideal_basis(2, 1)
-    huge = dataclasses.replace(basis, degree_bound=10**6)
+    huge = GroebnerBasis(basis.nvars, basis.generators, 10**6, basis.reduced)
     sms = standard_monomials(huge, 10**6)
     assert sms.complete
     assert sms.monomials == standard_monomials(basis, basis.degree_bound).monomials
@@ -572,3 +571,19 @@ def test_degree_bounds():
             assert default_degree_bound(n, m) == top + 1
     assert classical_degree_bound(2, 1) == 2
     assert classical_degree_bound(3, 1) == 4
+
+
+def test_records_are_immutable_values():
+    basis = quasi_ideal_basis(2, 2)
+    assert basis._divisors is basis._divisors  # cached once per basis
+    for record, field in ((basis, "degree_bound"), (standard_monomials(basis, 3), "complete")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+    assert repr(basis) == (
+        "GroebnerBasis(nvars=2, generators=(Polynomial(2, 'x1^2 + x2^2'), "
+        "Polynomial(2, 'x2^4')), degree_bound=5, reduced=True)"
+    )
+    copy = GroebnerBasis(basis.nvars, basis.generators, basis.degree_bound, basis.reduced)
+    assert copy == basis and hash(copy) == hash(basis)

@@ -37,7 +37,7 @@ from quasicov.polynomials import (
     render_polynomial,
 )
 from quasicov.qsym import compositions_of, elementary_symmetric_power, monomial_qsym
-from quasicov.scalars import Cyclotomic, euler_phi
+from quasicov.scalars import Cyclotomic, cyclotomic_polynomial, euler_phi
 
 EXAMPLE_ELEMENT = "tau=3,1,2;weights=1,0,1"
 
@@ -49,6 +49,18 @@ def test_element_validation():
         GroupElement(2, 2, (1, 2), (0, 2))
     with pytest.raises(ValueError):
         GroupElement(0, 2, (), ())
+
+
+def test_elements_are_immutable_values():
+    g = GroupElement(2, 3, (2, 1), (1, 0))
+    assert repr(g) == "GroupElement(n=2, m=3, tau=(2, 1), weights=(1, 0))"
+    assert g == GroupElement(2, 3, (2, 1), (1, 0))
+    assert hash(g) == hash(GroupElement(2, 3, (2, 1), (1, 0)))
+    assert g != GroupElement(2, 3, (2, 1), (2, 0))
+    with pytest.raises(AttributeError):
+        g.m = 4
+    with pytest.raises(AttributeError):
+        g.extra = 0
 
 
 def test_parse_render_round_trip():
@@ -397,3 +409,78 @@ def test_action_axioms_beyond_the_enumeration_cap(act, n, m):
         for p in (Polynomial(n, terms), Polynomial(n, {nu: 1 for nu in terms})):
             assert act(group_mul(g, h), p) == act(g, act(h, p))
             assert act(inverse(g), act(g, p)) == promote_to_cyclotomic(p, m)
+
+
+# ---- act text against an all-Fraction reference ------------------------------
+
+def _times_zeta_power(coeffs, m, phase):
+    """Power-basis Fractions of coeffs * z^phase, by long division by Phi_m."""
+    den = [Fraction(c) for c in cyclotomic_polynomial(m)]
+    phi = len(den) - 1
+    rem = [Fraction(0)] * phase + [Fraction(c) for c in coeffs]
+    for top in range(len(rem) - 1, phi - 1, -1):
+        q = rem[top] / den[-1]
+        if q:
+            for i, d in enumerate(den):
+                rem[top - phi + i] -= q * d
+    return rem[:phi]
+
+
+def _fraction_text(cs) -> str:
+    pieces = []
+    for i, c in enumerate(cs):
+        if c:
+            mag = abs(c)
+            var = "" if i == 0 else "z" if i == 1 else f"z^{i}"
+            body = str(mag) if i == 0 else var if mag == 1 else f"{mag}{var}"
+            pieces.append(("-" if c < 0 else "+") + body)
+    text = "".join(pieces)
+    return text[1:] if text[0] == "+" else text
+
+
+def _reference_act_text(image, g, p) -> str:
+    """The action's text, from coefficients kept as Fractions throughout;
+    p has Cyclotomic coefficients."""
+    acc = {}
+    for nu, coeff in p.terms.items():
+        mu, phase = image(g, nu)
+        v = _times_zeta_power(coeff.coeffs, g.m, phase)
+        acc[mu] = [x + y for x, y in zip(acc[mu], v)] if mu in acc else v
+    rendered = []
+    for mu in sorted(acc, reverse=True):
+        cs = acc[mu]
+        mon = "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(mu, 1) if e)
+        if any(cs[1:]):
+            body = f"({_fraction_text(cs)})" + (f"*{mon}" if mon else "")
+            rendered.append(" + " + body)
+        elif cs[0]:
+            mag = abs(cs[0])
+            body = str(mag) if not mon else mon if mag == 1 else f"{mag}*{mon}"
+            rendered.append((" - " if cs[0] < 0 else " + ") + body)
+    if not rendered:
+        return "0"
+    text = "".join(rendered)
+    return "-" + text[3:] if text.startswith(" - ") else text[3:]
+
+
+ACT_TEXTS = [
+    "3/2*x1 + (1/2-2z)*x2 - 4*x3^2 + 5",
+    "x1^3*x2*x3 - x1^2*x3 + 7/3*x2^2*x3 + (-1+z)*x1*x2^2 - 2/5",
+    "x1 + 2*x2 - x1 + (1+z-z)*x3^2 - x3^2 - 6*x1^2*x2^4",
+    "(2-z^2)*x1^2 + (z^3-1/4z)*x2*x3 + (z+1)*x1*x3^2 - 3*x2^5 + x3",
+    "-x1*x2*x3 + (-1-z)*x1^4 + 1/7*x2",
+]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 7, 12, 300])
+@pytest.mark.parametrize("act,image", ACTIONS)
+def test_act_text_matches_the_fraction_reference(act, image, m):
+    rng = random.Random(m)
+    elements_ = [identity(3, m)] + [
+        GroupElement(3, m, tuple(rng.sample((1, 2, 3), 3)), tuple(rng.choices(range(m), k=3)))
+        for _ in range(3)
+    ]
+    for text in ACT_TEXTS:
+        p = parse_polynomial(text, 3, order=m)
+        for g in elements_:
+            assert render_polynomial(act(g, p)) == _reference_act_text(image, g, p)

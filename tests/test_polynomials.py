@@ -240,3 +240,24 @@ def test_promotion():
     assert q == p  # same values, embedded
     with pytest.raises(ValueError):
         promote_to_cyclotomic(q, 3)
+
+
+def test_promotion_returns_a_polynomial_already_over_the_field():
+    q = P("(1-z)*x1 + 3*x2", 2, order=4)
+    assert promote_to_cyclotomic(q, 4) is q
+    with pytest.raises(ValueError):
+        promote_to_cyclotomic(q, 3)
+    assert promote_to_cyclotomic(Polynomial.zero(2), 4) == Polynomial.zero(2)
+
+
+def test_promotion_of_mixed_coefficients():
+    zeta = Cyclotomic.zeta(4)
+    p = Polynomial(2, {(1, 0): Fraction(3, 2), (0, 1): zeta, (0, 0): -2})
+    q = promote_to_cyclotomic(p, 4)
+    assert q is not p and q == p
+    assert q.terms[(0, 1)] is zeta
+    assert q.terms[(1, 0)] == Cyclotomic.from_rational(4, Fraction(3, 2))
+    assert all(isinstance(c, Cyclotomic) and c.order == 4 for c in q.terms.values())
+    assert render_polynomial(q) == "3/2*x1 + (z)*x2 - 2"
+    with pytest.raises(ValueError):
+        promote_to_cyclotomic(p, 3)

@@ -259,3 +259,81 @@ def test_multiplication_block_of_any_value(m, data):
     assert Cyclotomic(m, _times_block(multiplication_block(v, m), c.coeffs)) == v * c
     half = Fraction(1, 2)
     assert Cyclotomic(m, _times_block(multiplication_block(half, m), c.coeffs)) == c * half
+
+
+# ---- the canonical coefficient form -----------------------------------------
+
+# Every order up to 30, then 105 (the first Phi_m with a coefficient -2) and
+# 300 (phi = 80).
+CANONICAL_ORDERS = list(range(1, 31)) + [105, 300]
+
+_RATIONALS = st.one_of(
+    st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+)
+
+
+def _cyclotomics(m):
+    """Integral and fractional entries; for phi(m) <= 6 some lists are
+    longer than phi(m).  At most 8 entries, since an inverse in Q(zeta_300)
+    grows with the degree of its argument (a dense one takes seconds)."""
+    return st.lists(_RATIONALS, max_size=min(euler_phi(m) + 2, 8)).map(
+        lambda cs: Cyclotomic(m, cs)
+    )
+
+
+def _assert_canonical(value):
+    for c in value.coeffs:
+        if type(c) is not int:
+            assert type(c) is Fraction and c.denominator != 1, value.coeffs
+
+
+def test_integral_coefficients_are_ints():
+    a = Cyclotomic(3, [Fraction(4, 2), Fraction(1, 2)])
+    assert a.coeffs == (2, Fraction(1, 2)) and type(a.coeffs[0]) is int
+    assert type(Cyclotomic.from_rational(5, Fraction(6, 3)).rational_value()) is int
+    assert type((a + Cyclotomic(3, [0, Fraction(1, 2)])).coeffs[1]) is int
+
+
+@pytest.mark.parametrize("m", CANONICAL_ORDERS)
+@settings(max_examples=4)
+@given(data=st.data())
+def test_coefficients_stay_canonical(m, data):
+    a = data.draw(_cyclotomics(m))
+    b = data.draw(_cyclotomics(m))
+    r = data.draw(_RATIONALS)
+    k = data.draw(st.integers(-3, 3))
+    values = [
+        a + b, a - b, a * b, -a, a + r, r - a, a * r,
+        a ** (k if a else abs(k)),
+        Cyclotomic.parse(m, str(a)),
+        Cyclotomic.zeta(m, k),
+        Cyclotomic.from_rational(m, r),
+        Cyclotomic(m, [0] * m + list(a.coeffs)),
+    ]
+    if b:
+        values += [a / b, b.inverse(), r / b]
+    for v in values:
+        _assert_canonical(v)
+
+
+@pytest.mark.parametrize("m", CANONICAL_ORDERS)
+@settings(max_examples=4)
+@given(data=st.data())
+def test_equal_values_have_equal_coefficients_and_hashes(m, data):
+    a = data.draw(_cyclotomics(m))
+    b = data.draw(_cyclotomics(m))
+    routes = [
+        (a + b) - b,
+        a * Cyclotomic.one(m),
+        Cyclotomic(m, [Fraction(c) for c in a.coeffs]),
+        Cyclotomic(m, [0] * m + list(a.coeffs)),  # z^m * a, reduced by Phi_m
+        Cyclotomic.parse(m, str(a)),  # the text round trip
+    ]
+    if b:
+        routes.append((a * b) / b)
+    for v in routes:
+        assert v == a
+        assert v.coeffs == a.coeffs
+        assert hash(v) == hash(a)
+    if a:
+        assert a * a.inverse() == 1

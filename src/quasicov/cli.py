@@ -6,10 +6,11 @@ printed as JSON, otherwise as readable text.  The exit code is 0 exactly
 when every check passes; usage and parse problems exit 2, resource-cap
 violations exit 3.
 
-Caps default to a group-enumeration limit of 10^4 elements and a
-matrix limit of 10^6 entries, which covers both the kernel-oracle and the
-fixed-space linear systems; the environment variables
-QUASICOV_MAX_GROUP_ORDER and QUASICOV_MAX_KERNEL_ENTRIES override them.
+Caps default to a group-enumeration limit of 10^4 elements and a limit
+of 10^6 that bounds both the dense entries of each kernel-oracle system
+and the generator images of each fixed-space walk; the environment
+variables QUASICOV_MAX_GROUP_ORDER and QUASICOV_MAX_KERNEL_ENTRIES
+override them.
 """
 
 from __future__ import annotations

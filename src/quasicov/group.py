@@ -14,17 +14,18 @@ so that act(group_mul(g, h), p) == act(g, act(h, p)) for both actions.
 Either action sends a monomial to one monomial times a power of zeta, so
 the image of a monomial is computed in integers as (exponent vector,
 phase mod m); ``Cyclotomic`` coefficients appear only when an action is
-extended linearly to a polynomial.
+extended linearly to a polynomial.  Fixed spaces are counted on the same
+integer images, orbit by orbit, with no linear algebra.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import permutations, product
-from math import factorial
+from math import comb, factorial
 
 from .errors import ResourceLimitError
-from .linalg import DEFAULT_MAX_MATRIX_ENTRIES, kernel_dimension
+from .linalg import DEFAULT_MAX_MATRIX_ENTRIES
 from .polynomials import Polynomial, exponent_vectors, promote_to_cyclotomic
 from .scalars import Cyclotomic, multiplication_block
 
@@ -223,30 +224,43 @@ def fixed_space_dimension(
     max_entries: int = DEFAULT_MAX_MATRIX_ENTRIES,
 ) -> int:
     """Dimension of the invariant subspace of the degree-d component,
-    computed as the kernel rank of (g - id) stacked over the generators."""
+    counted on orbits of monomials.
+
+    Each generator sends a monomial to one monomial times a power of zeta,
+    so the component splits into the orbits of the generators.  A walk
+    from a base monomial gives each member x^nu a phase t(nu) mod m: an
+    invariant supported on the orbit is a multiple of the sum of
+    zeta^t(nu) * x^nu, which exists iff every image g . x^nu =
+    zeta^phase * x^mu agrees, t(mu) = t(nu) + phase mod m, because zeta
+    has order exactly m.  Each such orbit adds one dimension.
+    ``max_entries`` caps the images walked: generators times monomials.
+    """
     if action not in ("quasi", "classical"):
         raise ValueError(f"unknown action {action!r}")
     image = _quasi_image if action == "quasi" else _classical_image
-    monomials = exponent_vectors(n, degree)
-    index = {nu: i for i, nu in enumerate(monomials)}
     gens = generators(n, m)
-    if len(gens) * len(monomials) * len(monomials) > max_entries:
+    if len(gens) * comb(n + degree - 1, degree) > max_entries:
         raise ResourceLimitError(
             f"fixed-space system for n={n}, m={m}, degree={degree} exceeds cap"
         )
-    unit = Cyclotomic.one(m)
-    # Build each power of zeta on first use: a power at or past phi(m)
-    # costs a division by Phi_m, and the rows may need only a few.
-    powers: dict = {}
-    rows = []
-    for g in gens:
-        for i, nu in enumerate(monomials):
-            mu, phase = image(g, nu)
-            if phase not in powers:
-                powers[phase] = Cyclotomic.zeta(m, phase)
-            row = [0] * len(monomials)
-            row[index[mu]] = powers[phase]
-            row[i] = row[i] - unit
-            if any(row):
-                rows.append(row)
-    return kernel_dimension(rows, len(monomials))
+    phases: dict = {}
+    dimension = 0
+    for base in exponent_vectors(n, degree):
+        if base in phases:
+            continue
+        phases[base] = 0
+        stack = [base]
+        consistent = True
+        while stack:
+            nu = stack.pop()
+            t = phases[nu]
+            for g in gens:
+                mu, phase = image(g, nu)
+                phase = (t + phase) % m
+                if mu not in phases:
+                    phases[mu] = phase
+                    stack.append(mu)
+                elif phases[mu] != phase:
+                    consistent = False
+        dimension += consistent
+    return dimension

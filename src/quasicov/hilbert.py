@@ -119,12 +119,24 @@ def single_prefactor_series(n: int, m: int) -> HilbertSeries:
 def _ideal_generators(n: int, m: int, max_deg: int, ideal: str):
     if ideal == "quasi":
         return quasi_invariant_generators(n, m, max_deg)
-    if ideal == "classical":
+    return [
+        elementary_symmetric_power(k, n, m)
+        for k in range(1, n + 1)
+        if k * m <= max_deg
+    ]
+
+
+def _generator_degrees(n: int, m: int, max_deg: int, ideal: str) -> list:
+    """(degree, count) of the generators of ``_ideal_generators`` for each
+    degree, counted without building them: M_alpha(x^m) for the
+    compositions alpha of k into at most n parts, and e_k(x^m) for k <= n."""
+    if ideal == "quasi":
         return [
-            elementary_symmetric_power(k, n, m)
-            for k in range(1, n + 1)
-            if k * m <= max_deg
+            (m * k, sum(comb(k - 1, j - 1) for j in range(1, min(k, n) + 1)))
+            for k in range(1, max_deg // m + 1)
         ]
+    if ideal == "classical":
+        return [(m * k, 1) for k in range(1, min(n, max_deg // m) + 1)]
     raise ValueError(f"unknown ideal kind {ideal!r}")
 
 
@@ -141,11 +153,22 @@ def coinvariant_kernel_dim(
     A product X^mu * g of degree d pairs against P = sum c_nu X^nu through
     <X^nu, X^nu> = nu!, so each product contributes the linear condition
     sum over nu of (coefficient of X^nu in X^mu * g) * nu! * c_nu = 0.
+    The system's size is counted before anything is built: one row per
+    product, one column per degree-d monomial.
     """
+    ncols = comb(n + degree - 1, degree)
+    nrows = sum(
+        count * comb(n + degree - gdeg - 1, degree - gdeg)
+        for gdeg, count in _generator_degrees(n, m, degree, ideal)
+    )
+    if nrows and nrows * ncols > max_entries:
+        raise ResourceLimitError(
+            f"kernel system for n={n}, m={m}, degree={degree} "
+            f"exceeds cap of {max_entries} entries"
+        )
     monomials = exponent_vectors(n, degree)
     index = {nu: i for i, nu in enumerate(monomials)}
     rows = []
-    entries = 0
     for g in _ideal_generators(n, m, degree, ideal):
         gdeg = g.degree()
         for mu in exponent_vectors(n, degree - gdeg):
@@ -154,12 +177,6 @@ def coinvariant_kernel_dim(
                 nu = tuple(a + b for a, b in zip(mu, kappa))
                 row[index[nu]] = c * exponent_factorial(nu)
             rows.append(row)
-            entries += len(monomials)
-            if entries > max_entries:
-                raise ResourceLimitError(
-                    f"kernel system for n={n}, m={m}, degree={degree} "
-                    f"exceeds cap of {max_entries} entries"
-                )
     return kernel_dimension(rows, len(monomials))
 
 

@@ -12,15 +12,14 @@ coefficient is canonical: an ``int`` when it is integral and a
 ``Fraction`` otherwise, never a ``Fraction`` with denominator 1.  Since
 ``1 == Fraction(1)`` and both hash alike, equality and hashing stay
 structural, and the integral values that the group actions and the text
-form mostly meet are computed in plain integer arithmetic.
+form mostly meet are computed in plain integer arithmetic.  No operation
+divides polynomials: products are reduced by the monic integer Phi_m, and
+``inverse`` is the norm map.
 
 The regular representation lives here too: ``multiplication_block(v, m)``
-is the phi(m) x phi(m) matrix of "multiply by v" on that power basis.  It
-is an injective ring map Q(zeta_m) -> Q^(phi x phi), and its integer
-blocks serve two callers: ``linalg.rank`` turns cyclotomic rows into
-integer rows with it, and the group actions multiply each term's
-coefficient by zeta^phase through the block of zeta^phase, with no
-division by Phi_m.
+is the phi(m) x phi(m) matrix of "multiply by v" on that power basis.  The
+group actions multiply each term's coefficient by zeta^phase through the
+integer block of zeta^phase, with no reduction by Phi_m.
 """
 
 from __future__ import annotations
@@ -28,11 +27,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 Rational = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -67,26 +64,6 @@ def _trim(coeffs: list) -> list:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
-
-
-def _poly_divmod(num, den):
-    """Quotient and remainder in Q[z]; coefficient lists are ascending."""
-    num = _trim([c if type(c) is Fraction else Fraction(c) for c in num])
-    den = _trim([c if type(c) is Fraction else Fraction(c) for c in den])
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    deg_d = len(den) - 1
-    lead = den[-1]
-    quot = [_ZERO] * max(0, len(num) - deg_d)
-    rem = num
-    while rem and len(rem) - 1 >= deg_d:
-        shift = len(rem) - 1 - deg_d
-        c = rem[-1] / lead
-        quot[shift] = c
-        for i, dc in enumerate(den):
-            rem[shift + i] -= c * dc
-        _trim(rem)
-    return quot, rem
 
 
 def _poly_mul(a, b):
@@ -161,26 +138,6 @@ def _reduce_mod_phi(coeffs: list, order: int) -> list:
             for i, p in tail:
                 cs[shift + i] -= c * p
     return [_canonical(c) for c in cs[:phi]]
-
-
-def _ext_gcd(a, b):
-    """Extended Euclid in Q[z]: returns (g, u, v) with u*a + v*b = g."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [_ONE], []
-    v0, v1 = [], [_ONE]
-    while _trim(list(r1)):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _trim([x - y for x, y in _zip_pad(u0, _poly_mul(q, u1))])
-        v0, v1 = v1, _trim([x - y for x, y in _zip_pad(v0, _poly_mul(q, v1))])
-    return r0, u0, v0
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return zip(a, b)
 
 
 class Cyclotomic:
@@ -276,13 +233,27 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """1/a by the norm map.  The conjugates sigma_j(a), z -> z^j for j
+        coprime to m, multiply to the rational norm N(a), so 1/a is the
+        product of the conjugates other than a itself, divided by N(a).
+        The product is taken over a scaled to integers, so no step
+        divides."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        g, u, _ = _ext_gcd(list(self.coeffs), list(cyclotomic_polynomial(self.order)))
-        # Phi_m is irreducible over Q, so the gcd is a nonzero constant.
-        assert len(_trim(list(g))) == 1
-        scale = g[0]
-        return Cyclotomic(self.order, [c / scale for c in u])
+        m = self.order
+        den = lcm(*(c.denominator for c in self.coeffs))
+        a = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        others = [1]
+        for j in range(2, m):
+            if gcd(j, m) == 1:
+                conjugate = [0] * m
+                for i, c in enumerate(a):
+                    conjugate[i * j % m] += c
+                conjugate = _reduce_mod_phi(conjugate, m)
+                others = _reduce_mod_phi(_poly_mul(others, conjugate), m)
+        # Phi_m is irreducible, so the norm of a nonzero a is a nonzero integer.
+        norm = _reduce_mod_phi(_poly_mul(a, others), m)[0]
+        return Cyclotomic(m, [Fraction(c * den, norm) for c in others])
 
     def __truediv__(self, other):
         other = self._coerce(other)

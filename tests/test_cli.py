@@ -1,9 +1,11 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,20 @@ def run_cli(argv, capsys):
 def run_json(argv, capsys):
     code, out, err = run_cli(argv + ["--json"], capsys)
     return code, json.loads(out), err
+
+
+# The benchmark's fixed commands and the sha256 of their recorded stdout.
+RECORDED_DIGESTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "expected_digests.json")
+    .read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("command", list(RECORDED_DIGESTS))
+def test_stdout_matches_the_recorded_digest(command, capsys):
+    code, out, _ = run_cli(command.split(" "), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RECORDED_DIGESTS[command]
 
 
 def test_act_worked_example(capsys):

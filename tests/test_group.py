@@ -6,8 +6,10 @@ from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
+from test_linalg import dense_rank
 
-from quasicov import verify
+from quasicov import group, verify
+from quasicov.cli import main
 from quasicov.errors import ResourceLimitError
 from quasicov.group import (
     GroupElement,
@@ -316,6 +318,50 @@ def test_fixed_space_dimension_examples():
         fixed_space_dimension(2, 2, 1, "other")
     with pytest.raises(ResourceLimitError):
         fixed_space_dimension(3, 3, 6, "quasi", max_entries=10)
+
+
+def _linear_algebra_fixed_space_dimension(n, m, degree, action):
+    """The kernel dimension of (g - id), stacked over the generators, on
+    the degree-d monomials over Q(zeta_m), by field elimination."""
+    image = _quasi_image if action == "quasi" else _classical_image
+    monomials = exponent_vectors(n, degree)
+    index = {nu: i for i, nu in enumerate(monomials)}
+    rows = []
+    for g in generators(n, m):
+        for i, nu in enumerate(monomials):
+            mu, phase = image(g, nu)
+            row = [Cyclotomic.zero(m)] * len(monomials)
+            row[index[mu]] = Cyclotomic.zeta(m, phase)
+            row[i] = row[i] - 1
+            rows.append(row)
+    return len(monomials) - dense_rank(rows)
+
+
+@pytest.mark.parametrize("action", ["quasi", "classical"])
+@pytest.mark.parametrize("n,m", [(n, m) for n in (1, 2, 3) for m in (1, 2, 3, 4)])
+def test_orbit_counting_matches_linear_algebra(action, n, m):
+    for d in range(7):
+        expected = _linear_algebra_fixed_space_dimension(n, m, d, action)
+        assert fixed_space_dimension(n, m, d, action) == expected, (n, m, d)
+
+
+def test_fixed_space_cap_is_checked_before_enumerating(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("exponent_vectors called before the cap")
+
+    monkeypatch.setattr(group, "exponent_vectors", enumerate_nothing)
+    # 3 generators times C(5, 3) = 10 monomials of degree 3 in 3 variables
+    with pytest.raises(ResourceLimitError):
+        fixed_space_dimension(3, 2, 3, "quasi", max_entries=29)
+    with pytest.raises(ResourceLimitError):
+        fixed_space_dimension(40, 3, 40, "classical")
+    monkeypatch.undo()
+    assert fixed_space_dimension(3, 2, 3, "quasi", max_entries=30) == 0
+
+
+def test_propu_at_nine_variables(capsys):
+    assert main(["verify", "--suite", "propu", "--n", "9", "--m", "3"]) == 0
+    assert "status: pass" in capsys.readouterr().out
 
 
 def _partitions_with_part_at_most(d, largest):

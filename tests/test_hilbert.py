@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from quasicov import hilbert
 from quasicov.errors import ResourceLimitError
 from quasicov.groebner import StandardMonomialSet, quasi_ideal_basis, standard_monomials
 from quasicov.hilbert import (
@@ -15,6 +16,7 @@ from quasicov.hilbert import (
     series_from_monomials,
     single_prefactor_series,
 )
+from quasicov.linalg import kernel_dimension
 from quasicov.paths import catalan, enumerate_dyck, quotient_basis
 
 
@@ -113,6 +115,44 @@ def test_kernel_dim_examples():
 def test_kernel_dim_resource_cap():
     with pytest.raises(ResourceLimitError):
         coinvariant_kernel_dim(3, 3, 9, "quasi", max_entries=100)
+
+
+def test_kernel_cap_is_checked_before_enumerating(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("exponent_vectors called before the cap")
+
+    monkeypatch.setattr(hilbert, "exponent_vectors", enumerate_nothing)
+    with pytest.raises(ResourceLimitError):
+        coinvariant_kernel_dim(3, 3, 9, "quasi", max_entries=100)
+    with pytest.raises(ResourceLimitError):
+        coinvariant_kernel_dim(300, 1, 2, "quasi")
+    with pytest.raises(ResourceLimitError):
+        coinvariant_kernel_dim(300, 1, 2, "classical")
+
+
+def _built_system_size(monkeypatch, n, m, degree, ideal):
+    """Rows times columns of the system that coinvariant_kernel_dim builds."""
+    sizes = []
+
+    def record(rows, ncols):
+        sizes.append(len(rows) * ncols)
+        return kernel_dimension(rows, ncols)
+
+    monkeypatch.setattr(hilbert, "kernel_dimension", record)
+    dim = coinvariant_kernel_dim(n, m, degree, ideal, max_entries=10**9)
+    monkeypatch.undo()
+    return sizes[0], dim
+
+
+@pytest.mark.parametrize("ideal", ["quasi", "classical"])
+@pytest.mark.parametrize("n,m", [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)])
+def test_kernel_cap_is_the_built_system_size(monkeypatch, ideal, n, m):
+    for degree in range(3 * m + 2):
+        size, dim = _built_system_size(monkeypatch, n, m, degree, ideal)
+        if size:
+            with pytest.raises(ResourceLimitError):
+                coinvariant_kernel_dim(n, m, degree, ideal, max_entries=size - 1)
+        assert coinvariant_kernel_dim(n, m, degree, ideal, max_entries=size) == dim
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,4 +1,8 @@
-"""Sparse integer elimination against a dense field-elimination reference."""
+"""Sparse integer elimination against a dense field-elimination reference.
+
+``rank`` works over Q only.  A matrix over Q(zeta_m) reaches it through its
+regular representation, whose rank over Q is phi(m) times the rank over
+Q(zeta_m) that ``dense_rank`` finds by dividing in the field."""
 
 from fractions import Fraction
 
@@ -6,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quasicov.linalg import kernel_dimension, rank
-from quasicov.scalars import Cyclotomic, euler_phi
+from quasicov.scalars import Cyclotomic, euler_phi, multiplication_block
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 12]
 
@@ -47,6 +51,23 @@ def dense_rank(rows) -> int:
     return r
 
 
+def regular_rows(rows, order):
+    """Rows over Q of the regular representation of a matrix over
+    Q(zeta_order): entry v becomes the phi x phi block of "multiply by v",
+    an injective ring map, so the rank is multiplied by phi."""
+    phi = euler_phi(order)
+    out = []
+    for r in rows:
+        blocks = [multiplication_block(v, order) for v in r]
+        for s in range(phi):
+            row = [0] * (phi * len(r))
+            for c, block in enumerate(blocks):
+                for t, x in block[s]:
+                    row[c * phi + t] = x
+            out.append(row)
+    return out
+
+
 small = st.integers(-3, 3)
 rationals = st.builds(Fraction, small, st.integers(1, 4))
 
@@ -85,9 +106,14 @@ def matrices(draw, order):
 def test_rank_matches_dense_reference(order, data):
     base, mixed = data.draw(matrices(order))
     expected = dense_rank(base)
-    assert rank(base) == expected
-    assert rank(mixed) == expected
     assert dense_rank(mixed) == expected
+    if order is None:
+        assert rank(base) == expected
+        assert rank(mixed) == expected
+    else:
+        phi = euler_phi(order)
+        assert rank(regular_rows(base, order)) == phi * expected
+        assert rank(regular_rows(mixed, order)) == phi * expected
 
 
 def test_integer_rows_are_exact():
@@ -105,16 +131,18 @@ def test_empty_and_zero_inputs():
 def test_cyclotomic_dependence():
     z = Cyclotomic.zeta(3)
     # The second row is z times the first: dependent over Q(zeta_3) although
-    # independent over Q.
-    assert rank([[1, z], [z, z * z]]) == 1
-    assert rank([[1, z], [z, 1]]) == 2
+    # independent over Q.  phi(3) = 2.
+    assert dense_rank([[1, z], [z, z * z]]) == 1
+    assert rank(regular_rows([[1, z], [z, z * z]], 3)) == 2
+    assert rank(regular_rows([[1, z], [z, 1]], 3)) == 4
 
 
-def test_mixed_orders_are_rejected():
-    with pytest.raises(ValueError):
-        rank([[Cyclotomic.zeta(3), Cyclotomic.zeta(4)]])
-    with pytest.raises(ValueError):
-        rank([[Cyclotomic.zeta(3)], [Cyclotomic.zeta(6)]])
+def test_non_rational_entries_are_rejected():
+    for entry in (Cyclotomic.zeta(3), Cyclotomic.from_rational(4, 2), 0.5, "1"):
+        with pytest.raises(TypeError):
+            rank([[1, 0], [Fraction(1, 2), entry]])
+    with pytest.raises(TypeError):
+        kernel_dimension([[Cyclotomic.zeta(3), Cyclotomic.zeta(4)]], 2)
 
 
 @pytest.mark.parametrize("order", [None, 3])
@@ -122,4 +150,8 @@ def test_mixed_orders_are_rejected():
 def test_kernel_dimension_is_columns_minus_rank(order, data):
     base, _ = data.draw(matrices(order))
     ncols = len(base[0]) if base else 4
-    assert kernel_dimension(base, ncols) == ncols - dense_rank(base)
+    expected = ncols - dense_rank(base)
+    if order is not None:
+        phi = euler_phi(order)
+        base, ncols, expected = regular_rows(base, order), phi * ncols, phi * expected
+    assert kernel_dimension(base, ncols) == expected

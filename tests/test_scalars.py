@@ -273,10 +273,9 @@ _RATIONALS = st.one_of(
 
 
 def _cyclotomics(m):
-    """Integral and fractional entries; for phi(m) <= 6 some lists are
-    longer than phi(m).  At most 8 entries, since an inverse in Q(zeta_300)
-    grows with the degree of its argument (a dense one takes seconds)."""
-    return st.lists(_RATIONALS, max_size=min(euler_phi(m) + 2, 8)).map(
+    """Integral and fractional entries, up to phi(m) + 2 of them, so some
+    lists are longer than phi(m) and are reduced modulo Phi_m."""
+    return st.lists(_RATIONALS, max_size=euler_phi(m) + 2).map(
         lambda cs: Cyclotomic(m, cs)
     )
 
@@ -337,3 +336,14 @@ def test_equal_values_have_equal_coefficients_and_hashes(m, data):
         assert hash(v) == hash(a)
     if a:
         assert a * a.inverse() == 1
+
+
+def test_inverse_of_a_dense_element_of_order_300():
+    # 80 nonzero entries with denominators up to 4: extended Euclid over
+    # Fractions took tens of seconds on this; the norm map takes well under one.
+    rng = random.Random(300)
+    a = Cyclotomic(300, [
+        Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) for _ in range(80)
+    ])
+    assert all(a.coeffs)
+    assert a * a.inverse() == 1

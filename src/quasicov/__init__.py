@@ -58,6 +58,7 @@ from .groebner import (
     buchberger,
     classical_ideal_basis,
     default_degree_bound,
+    direct_quasi_ideal_basis,
     normal_form,
     quasi_ideal_basis,
     reduce_basis,

@@ -170,6 +170,47 @@ def cmd_series(config: RunConfig) -> dict:
     return _document(config, "series", result, checks)
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and set(map(type, value)) == {int}
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte.
+
+    With an indent, ``json`` runs its pure-Python encoder.  Here lists of
+    plain ints and lists of such rows, like the exponent vectors that make
+    up most of a document, are joined with ``str.join``; every other
+    scalar goes through ``json.dumps`` itself.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        brackets = "{}"
+        items = [
+            # json writes a non-string key as the string of its JSON text.
+            json.dumps(key if isinstance(key, str) else json.dumps(key))
+            + ": "
+            + _json_text(sub, inner)
+            for key, sub in value.items()
+        ]
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        brackets = "[]"
+        if _is_int_list(value):
+            items = map(str, value)
+        elif all(map(_is_int_list, value)):
+            row_sep = ",\n" + inner + "  "
+            items = [f"[\n{inner}  {row_sep.join(map(str, row))}\n{inner}]" for row in value]
+        else:
+            items = [_json_text(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    body = (",\n" + inner).join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
 def _render_text(doc: dict) -> str:
     lines = [f"command: {doc['command']}  n={doc['n']} m={doc['m']}"]
 
@@ -302,7 +343,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(doc, indent=2) if config.as_json else _render_text(doc)
+    text = _json_text(doc) if config.as_json else _render_text(doc)
     if config.out:
         try:
             with open(config.out, "w", encoding="utf-8") as handle:

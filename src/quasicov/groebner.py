@@ -12,6 +12,28 @@ degree m(n-1) + n(m-1) of its quotient basis, so the empty top degree
 certifies that the standard-monomial set is complete.  A stabilization
 re-run with an enlarged bound and generator set guards that choice.
 
+For m >= 2 the quasi-invariant basis is not computed by Buchberger: it is
+the m = 1 basis under x_i -> x_i^m, keeping the elements of degree at most
+the bound (H. Hong, "Groebner bases under composition I", J. Symbolic
+Comput. 25, 1998).  The (n, m) generators are the (n, 1) generators under
+that map, and:
+
+- At m = 1 the default bound is n and the quotient's top degree is n - 1,
+  so the leading monomials of degree at most n divide every monomial of
+  degree n, hence every monomial of higher degree: the truncated reduced
+  basis is the full reduced basis.
+- x -> x^m multiplies exponents by m, which keeps lex order, so it maps
+  leading monomials to leading monomials and keeps divisibility between
+  them and the other terms.  Q[x] is free over Q[x^m] on the monomials
+  with exponents below m, so the image of a full Groebner basis is a full
+  Groebner basis of the extended ideal, reduced when the basis is.
+- For a homogeneous ideal, the reduced basis through a bound is the set of
+  elements of the full reduced basis of degree at most the bound.
+
+``direct_quasi_ideal_basis`` keeps the Buchberger route on the (n, m)
+generators, which the verification suites and tests check the
+substitution against.
+
 Division runs on packed monomials and integer coefficients.  A monomial
 is one int of nvars fields of ``bits`` = D.bit_length() bits each, x1 in
 the highest field, where D bounds the degree of every divisor and of
@@ -40,7 +62,7 @@ times the product of the scales, and ``normal_form`` divides it back out.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
@@ -373,8 +395,16 @@ def standard_monomials(basis: GroebnerBasis, through_degree: int) -> StandardMon
     divides c with lm != c has lm_i < c_i for some i, so it divides
     c - e_i, which then is not standard.  Each c of degree d + 1 is made
     once, from c - e_j with j its last nonzero index, and kept iff the
-    test above holds against degree d.  Work is bounded by nvars times the
-    number of standard monomials.
+    test above holds against degree d: the standard monomials of degree d
+    plus each e_i hit c once per standard lower neighbour, so the test is
+    that count against the number of nonzero indices of c.  Work is bounded
+    by nvars times the number of standard monomials.
+
+    The search runs on monomials packed into ints, with fields of
+    ``degree_bound.bit_length()`` bits and x1 highest, so int order is lex
+    order and adding e_i is adding one int.  Exponents never exceed
+    through_degree, and leading monomials above that degree cannot match,
+    so no field overflows.
 
     The set is complete when the top degree contributes nothing: an empty
     degree stays empty above, so the search may stop at the first one.
@@ -384,29 +414,43 @@ def standard_monomials(basis: GroebnerBasis, through_degree: int) -> StandardMon
             f"through_degree {through_degree} exceeds basis bound {basis.degree_bound}"
         )
     n = basis.nvars
-    lms = set(basis.leading_monomials())
-    layer = [] if (0,) * n in lms else [(0,) * n]
-    found = list(layer)
+    bits = max(basis.degree_bound.bit_length(), 1)
+    shifts = [bits * (n - 1 - i) for i in range(n)]
+    units = [1 << shift for shift in shifts]
+    lms = {
+        sum(e << shift for e, shift in zip(lm, shifts))
+        for lm in basis.leading_monomials()
+        if sum(lm) <= through_degree
+    }
+    # (monomial, its last nonzero index, its number of nonzero indices)
+    layer = [] if 0 in lms else [(0, 0, 0)]
+    found = [nu for nu, _, _ in layer]
     for _ in range(through_degree):
         if not layer:
             break
-        below = set(layer)
+        keys = [nu for nu, _, _ in layer]
+        # How many lower neighbours of each next-degree monomial are standard.
+        below = Counter()
+        for unit in units:
+            below.update(map(unit.__add__, keys))
         children = []
-        for nu in layer:
-            last = max((i for i, e in enumerate(nu) if e), default=0)
+        for nu, last, size in layer:
             for j in range(last, n):
-                child = nu[:j] + (nu[j] + 1,) + nu[j + 1:]
-                # child - e_j is nu, and child has no nonzero index past j.
-                if child not in lms and all(
-                    child[:i] + (child[i] - 1,) + child[i + 1:] in below
-                    for i in range(j)
-                    if child[i]
-                ):
-                    children.append(child)
+                child = nu + units[j]
+                grown = size + (j > last or not size)
+                if below[child] == grown and child not in lms:
+                    children.append((child, j, grown))
         children.sort()
-        found.extend(children)
+        found.extend(nu for nu, _, _ in children)
         layer = children
-    return StandardMonomialSet(n, tuple(found), through_degree, complete=not layer)
+    mask = (1 << bits) - 1
+    monomials = []
+    for nu in found:
+        exponents = []
+        for shift in shifts:
+            exponents.append(nu >> shift & mask)
+        monomials.append(tuple(exponents))
+    return StandardMonomialSet(n, tuple(monomials), through_degree, complete=not layer)
 
 
 def substitute_basis_power(basis: GroebnerBasis, m: int) -> GroebnerBasis:
@@ -432,9 +476,24 @@ def classical_degree_bound(n: int, m: int) -> int:
 @lru_cache(maxsize=None)
 def quasi_ideal_basis(n: int, m: int, degree_bound: int | None = None) -> GroebnerBasis:
     """Reduced basis of the ideal generated by quasi-invariants with no
-    constant term, valid through the bound."""
+    constant term, valid through the bound.  For m >= 2 it is substituted
+    from the m = 1 basis (module docstring)."""
     if degree_bound is None:
         return quasi_ideal_basis(n, m, default_degree_bound(n, m))
+    if m == 1:
+        return direct_quasi_ideal_basis(n, 1, degree_bound)
+    generators = tuple(
+        g.substitute_power(m)
+        for g in quasi_ideal_basis(n, 1).generators
+        if m * g.degree() <= degree_bound
+    )
+    return GroebnerBasis(n, generators, degree_bound, reduced=True)
+
+
+def direct_quasi_ideal_basis(n: int, m: int, degree_bound: int | None = None) -> GroebnerBasis:
+    """The same basis by Buchberger on the (n, m) generators themselves."""
+    if degree_bound is None:
+        degree_bound = default_degree_bound(n, m)
     gens = quasi_invariant_generators(n, m, degree_bound)
     return reduced_groebner_basis(gens, degree_bound, nvars=n)
 
@@ -450,11 +509,11 @@ def classical_ideal_basis(n: int, m: int, degree_bound: int | None = None) -> Gr
 
 
 def stabilization_check(n: int, m: int) -> bool:
-    """Re-run the quasi ideal with the bound enlarged by m and an enlarged
-    generator set; the standard-monomial set must not change."""
+    """Re-run the quasi ideal by Buchberger with the bound enlarged by m and
+    an enlarged generator set; the standard-monomial set must not change."""
     bound = default_degree_bound(n, m)
     first = standard_monomials(quasi_ideal_basis(n, m), bound)
-    enlarged = quasi_ideal_basis(n, m, bound + m)
+    enlarged = direct_quasi_ideal_basis(n, m, bound + m)
     second = standard_monomials(enlarged, bound + m)
     return (
         first.complete

@@ -18,7 +18,12 @@ from quasicov.group import (
     quasi_act,
     parse_group_element,
 )
-from quasicov.groebner import quasi_ideal_basis, standard_monomials, substitute_basis_power
+from quasicov.groebner import (
+    direct_quasi_ideal_basis,
+    quasi_ideal_basis,
+    standard_monomials,
+    substitute_basis_power,
+)
 from quasicov.hilbert import (
     dyck_series,
     kernel_dims_until_zero,
@@ -100,7 +105,7 @@ def test_criterion_3_standard_monomials_equal_path_basis():
 def test_criterion_4_substituted_basis_equals_direct():
     for n, m in GRID:
         substituted = substitute_basis_power(quasi_ideal_basis(n, 1), m)
-        direct = quasi_ideal_basis(n, m)
+        direct = direct_quasi_ideal_basis(n, m)
         assert len(substituted.generators) == len(direct.generators), (n, m)
         for left, right in zip(substituted.generators, direct.generators):
             assert left == right, (n, m)

@@ -8,8 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from quasicov.cli import main
+from quasicov.cli import _json_text, main
 
 
 def run_cli(argv, capsys):
@@ -245,6 +246,46 @@ def test_out_writes_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["result"]["count"] == 2
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+_JSON_KEYS = st.text() | st.integers() | st.booleans() | st.none() | st.floats()
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | st.lists(st.lists(st.integers())),
+    lambda inner: (
+        st.lists(inner)
+        | st.lists(inner).map(tuple)
+        | st.dictionaries(_JSON_KEYS, inner)
+    ),
+    max_leaves=40,
+)
+
+
+@given(_JSON_VALUES)
+def test_json_writer_equals_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_on_documents_with_int_rows():
+    doc = {"n": 2, "rows": [[0, 1], [2, 3]], "flat": [1, -2], "mixed": [[1], [True]], "e": [[]]}
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_out_file_holds_the_indented_json(tmp_path, capsys):
+    argv = ["groebner", "--n", "3", "--m", "2", "--json"]
+    target = tmp_path / "groebner.json"
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert run_cli(argv + ["--out", str(target)], capsys)[:2] == (0, "")
+    text = target.read_text(encoding="utf-8")
+    assert text == out == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def _run_subprocess(argv):

@@ -3,11 +3,12 @@
 import bisect
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasicov import groebner
+from quasicov import cli, groebner
 from quasicov.groebner import (
     GroebnerBasis,
     StandardMonomialSet,
@@ -16,6 +17,7 @@ from quasicov.groebner import (
     classical_degree_bound,
     classical_ideal_basis,
     default_degree_bound,
+    direct_quasi_ideal_basis,
     normal_form,
     quasi_ideal_basis,
     reduce_basis,
@@ -334,12 +336,11 @@ def test_engine_matches_fraction_division(n, m, monkeypatch):
     assert reduced_groebner_basis(gens, bound) == basis
 
 
-@pytest.mark.parametrize("n,m,expected", [(5, 2, (119, 155, 153)), (6, 1, (63, 81, 63))])
-def test_spair_counts_of_the_benchmark_sentinels(n, m, expected, monkeypatch):
-    """Generators in, S-pairs reduced and S-pairs reduced to zero, counted
-    at the boundaries perfbench/tracing.py wraps: an S-pair is a call of
-    s_polynomial, and it reduced to zero when the next normal_form call
-    takes its result and returns zero."""
+def _spair_counts(run, monkeypatch):
+    """Generators in, S-pairs reduced and S-pairs reduced to zero while
+    ``run()`` runs, counted at the boundaries perfbench/tracing.py wraps:
+    an S-pair is a call of s_polynomial, and it reduced to zero when the
+    next normal_form call takes its result and returns zero."""
     counts = [0, 0, 0]
     last = []
     buchberger_, s_polynomial_, normal_form_ = (
@@ -366,9 +367,26 @@ def test_spair_counts_of_the_benchmark_sentinels(n, m, expected, monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", counted_buchberger)
     monkeypatch.setattr(groebner, "s_polynomial", counted_s_polynomial)
     monkeypatch.setattr(groebner, "normal_form", counted_normal_form)
+    run()
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("n,m,expected", [(5, 2, (119, 155, 153)), (6, 1, (63, 81, 63))])
+def test_spair_counts_of_the_benchmark_sentinels(n, m, expected, monkeypatch):
+    """The direct route: Buchberger on the (n, m) generators."""
     bound = default_degree_bound(n, m)
-    reduced_groebner_basis(quasi_invariant_generators(n, m, bound), bound, nvars=n)
-    assert tuple(counts) == expected
+    gens = quasi_invariant_generators(n, m, bound)
+    run = partial(reduced_groebner_basis, gens, bound, nvars=n)
+    assert _spair_counts(run, monkeypatch) == expected
+
+
+def test_spair_counts_of_the_groebner_command_at_5_2(monkeypatch, capsys):
+    """The command runs Buchberger on the 31 generators of (5,1) only and
+    substitutes x_i -> x_i^2 into the result."""
+    quasi_ideal_basis.cache_clear()
+    run = partial(cli.main, ["groebner", "--n", "5", "--m", "2", "--json"])
+    assert _spair_counts(run, monkeypatch) == (31, 14, 12)
+    capsys.readouterr()
 
 
 def test_reduced_basis_is_presentation_independent():
@@ -512,8 +530,29 @@ def test_substitute_basis_power():
 @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_substituted_basis_equals_direct_basis(n, m):
     substituted = substitute_basis_power(quasi_ideal_basis(n, 1), m)
-    direct = quasi_ideal_basis(n, m)
+    direct = direct_quasi_ideal_basis(n, m)
     assert substituted.generators == direct.generators
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3])
+def test_quasi_ideal_basis_equals_the_direct_route_at_every_bound(n, m):
+    for bound in range(2 * m * n + 2):
+        substituted = quasi_ideal_basis(n, m, bound)
+        direct = direct_quasi_ideal_basis(n, m, bound)
+        assert substituted == direct, bound
+        assert standard_monomials(substituted, bound) == standard_monomials(direct, bound)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_m1_basis_is_complete_at_the_default_bound(n):
+    """The certificate the substitution route rests on: at bound n nothing
+    of degree n is standard, so the truncated m = 1 basis is a full one."""
+    basis = quasi_ideal_basis(n, 1)
+    assert basis.degree_bound == n
+    sms = standard_monomials(basis, n)
+    assert sms.complete
+    assert len(sms.monomials) == catalan(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

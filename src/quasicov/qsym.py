@@ -131,6 +131,27 @@ def quasi_invariant_generators(n: int, m: int, max_deg: int) -> list:
     return out
 
 
+def is_lyndon(alpha) -> bool:
+    """True iff alpha is nonempty and lexicographically smaller than each
+    of its proper rotations."""
+    alpha = tuple(alpha)
+    return bool(alpha) and all(alpha < alpha[k:] + alpha[:k] for k in range(1, len(alpha)))
+
+
+def lyndon_quasi_invariant_generators(n: int, max_deg: int) -> list:
+    """The M_alpha with alpha Lyndon and 1 <= |alpha| <= max_deg, in the
+    order of ``quasi_invariant_generators(n, 1, max_deg)``.
+
+    They generate the same ideal as that whole family through every degree
+    (the argument is in the ``groebner`` module docstring)."""
+    return [
+        monomial_qsym(alpha, n)
+        for d in range(1, max_deg + 1)
+        for alpha in compositions_of(d, n)
+        if is_lyndon(alpha)
+    ]
+
+
 def elementary_symmetric_power(k: int, n: int, m: int) -> Polynomial:
     """The k-th elementary symmetric polynomial evaluated at (x1^m,...,xn^m)."""
     if not 1 <= k <= n:

@@ -38,6 +38,14 @@ def test_stdout_matches_the_recorded_digest(command, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RECORDED_DIGESTS[command]
 
 
+def test_groebner_json_at_7_1_keeps_its_bytes(capsys):
+    code, out, _ = run_cli(["groebner", "--n", "7", "--m", "1", "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "4d747bbd6e699d2162472079ef997dbac1952403ff536a0358a5c646727e8875"
+    )
+
+
 def test_act_worked_example(capsys):
     code, out, _ = run_cli(
         [

@@ -14,7 +14,9 @@ from quasicov.qsym import (
     count_compositions,
     elementary_symmetric_power,
     fundamental_qsym,
+    is_lyndon,
     is_quasi_symmetric,
+    lyndon_quasi_invariant_generators,
     monomial_qsym,
     parse_composition,
     quasi_invariant_generators,
@@ -137,6 +139,48 @@ def test_generators_are_homogeneous_of_the_right_degree():
 def test_generators_pass_full_quasi_invariance(n, m):
     for g in quasi_invariant_generators(n, m, 2 * m):
         assert is_quasi_invariant(g, n, m)
+
+
+def test_is_lyndon_examples():
+    for alpha in [(1,), (5,), (1, 2), (1, 1, 2), (1, 2, 2), (1, 3, 1, 4)]:
+        assert is_lyndon(alpha)
+    for alpha in [(), (1, 1), (2, 1), (1, 2, 1), (1, 2, 1, 2), (2, 1, 1)]:
+        assert not is_lyndon(alpha)
+
+
+def _moebius(k):
+    sign, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if k > 1 else sign
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_lyndon_compositions_match_the_necklace_count(d):
+    """Writing each part a as 1 0^(a-1) maps the rotation classes of
+    compositions of d onto the binary necklaces of length d other than
+    0...0, aperiodic to aperiodic; those number
+    (1/d) * sum over k | d of mu(k) (2^(d/k) - 1)."""
+    expected = sum(_moebius(k) * (2 ** (d // k) - 1) for k in range(1, d + 1) if d % k == 0)
+    assert expected % d == 0
+    assert sum(map(is_lyndon, compositions_of(d, d))) == expected // d
+
+
+def test_lyndon_generators_are_the_lyndon_part_of_the_family():
+    for n, max_deg, count in [(1, 3, 3), (3, 5, 12), (6, 6, 22), (7, 7, 40)]:
+        lyndon = lyndon_quasi_invariant_generators(n, max_deg)
+        assert len(lyndon) == count
+        # The leading monomial of M_alpha is alpha padded with zeros.
+        assert lyndon == [
+            g
+            for g in quasi_invariant_generators(n, 1, max_deg)
+            if is_lyndon(vector_to_composition(g.leading_monomial()[0]))
+        ]
 
 
 def test_elementary_symmetric_power_examples():

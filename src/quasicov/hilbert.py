@@ -4,9 +4,19 @@ Three routes to the graded dimensions are implemented: counting standard
 monomials by degree, the closed formulas, and an orthogonal-complement
 oracle that finds the homogeneous polynomials annihilated by every ideal
 generator acting as a differential operator.  The oracle never touches the
-Groebner engine: it builds, degree by degree, the matrix of generator
-multiples paired against the monomial basis and takes an exact kernel rank
-over Q.
+Groebner engine: it pairs the generator multiples against the monomial
+basis and takes an exact kernel rank over Q.
+
+Every generator, M_alpha(x^m) or e_k(x^m), lies in Q[x^m], and Q[x] is
+free over Q[x^m] with basis {x^alpha : 0 <= alpha_i < m}.  A product
+x^mu * g keeps the residue mu mod m in every exponent, so the system of
+each degree is block-diagonal by residue: block (alpha, k) has the columns
+x^(alpha + m*beta) with |beta| = k, in degree |alpha| + m*k.  The oracle
+ranks every block on its own.  It walks each residue for k = 0, 1, ... and
+stops at the first zero kernel: a zero kernel at (alpha, k) puts every
+x^(alpha + m*beta) with |beta| = k in the ideal, and multiplying by each
+x_i^m puts every one with |beta| = k + 1 there too, so the later kernels of
+the block are zero.
 
 The closed series uses the residue-expanded prefactor
 ((1 - t^m) / (1 - t))^n.  The single-prefactor variant (exponent 1) is also
@@ -24,7 +34,7 @@ from .errors import ResourceLimitError
 from .linalg import DEFAULT_MAX_MATRIX_ENTRIES, kernel_dimension
 from .paths import catalan
 from .polynomials import exponent_factorial, exponent_vectors
-from .qsym import elementary_symmetric_power, quasi_invariant_generators
+from .qsym import compositions_of, elementary_symmetric_power, monomial_qsym
 
 
 class HilbertSeries(namedtuple("HilbertSeries", "coefficients")):
@@ -116,28 +126,80 @@ def single_prefactor_series(n: int, m: int) -> HilbertSeries:
     return _prefactor_series(n, m, 1)
 
 
-def _ideal_generators(n: int, m: int, max_deg: int, ideal: str):
-    if ideal == "quasi":
-        return quasi_invariant_generators(n, m, max_deg)
-    return [
-        elementary_symmetric_power(k, n, m)
-        for k in range(1, n + 1)
-        if k * m <= max_deg
-    ]
-
-
-def _generator_degrees(n: int, m: int, max_deg: int, ideal: str) -> list:
-    """(degree, count) of the generators of ``_ideal_generators`` for each
-    degree, counted without building them: M_alpha(x^m) for the
-    compositions alpha of k into at most n parts, and e_k(x^m) for k <= n."""
+def _level_counts(n: int, k: int, ideal: str) -> list:
+    """(j, count) of the ideal generators of degree m*j for j = 1..k,
+    counted without building them: M_alpha(x^m) for the compositions alpha
+    of j into at most n parts, and e_j(x^m) for j <= n."""
     if ideal == "quasi":
         return [
-            (m * k, sum(comb(k - 1, j - 1) for j in range(1, min(k, n) + 1)))
-            for k in range(1, max_deg // m + 1)
+            (j, sum(comb(j - 1, i - 1) for i in range(1, min(j, n) + 1)))
+            for j in range(1, k + 1)
         ]
     if ideal == "classical":
-        return [(m * k, 1) for k in range(1, min(n, max_deg // m) + 1)]
+        return [(j, 1) for j in range(1, min(n, k) + 1)]
     raise ValueError(f"unknown ideal kind {ideal!r}")
+
+
+def _level_generators(n: int, m: int, j: int, ideal: str) -> list:
+    """The term lists [(exponent, coefficient)] of the ideal generators of
+    degree m*j: M_alpha(x^m) for |alpha| = j, or e_j(x^m)."""
+    if ideal == "quasi":
+        gens = [monomial_qsym(a, n).substitute_power(m) for a in compositions_of(j, n)]
+    else:
+        gens = [elementary_symmetric_power(j, n, m)] if j <= n else []
+    # Every coefficient is 1: as ints they spare rank the Fraction arithmetic.
+    return [[(kappa, c.numerator) for kappa, c in g.terms.items()] for g in gens]
+
+
+def _residues(n: int, m: int, s: int):
+    """The residues alpha in {0..m-1}^n with |alpha| = s, ascending lex."""
+    if s == 0:
+        yield (0,) * n
+        return
+    for a in range(max(0, s - (n - 1) * (m - 1)), min(m - 1, s) + 1):
+        for rest in _residues(n - 1, m, s - a):
+            yield (a,) + rest
+
+
+def _block_kernel_dim(n, m, alpha, k, ideal, max_entries, generators) -> int:
+    """Kernel dimension of block (alpha, k).
+
+    Its rows are the products X^mu * g with mu = alpha + m*beta', one for
+    each generator g of degree m*j and each |beta'| = k - j.  X^mu * g pairs
+    against P = sum c_nu X^nu through <X^nu, X^nu> = nu!, so its row is the
+    condition sum over nu of (coefficient of X^nu in X^mu * g) * nu! * c_nu
+    = 0.  The block's size is counted before anything is built.
+    ``generators`` holds the generators built so far, by level j.
+    """
+    ncols = comb(n + k - 1, k)
+    nrows = sum(
+        count * comb(n + k - j - 1, k - j) for j, count in _level_counts(n, k, ideal)
+    )
+    if nrows * ncols > max_entries:
+        raise ResourceLimitError(
+            f"kernel system for n={n}, m={m}, degree={sum(alpha) + m * k} "
+            f"exceeds cap of {max_entries} entries"
+        )
+    while len(generators) < k:
+        generators.append(_level_generators(n, m, len(generators) + 1, ideal))
+
+    def lift(beta):
+        return tuple([a + m * b for a, b in zip(alpha, beta)])
+
+    columns = [lift(beta) for beta in exponent_vectors(n, k)]
+    index = {nu: i for i, nu in enumerate(columns)}
+    weights = [exponent_factorial(nu) for nu in columns]
+    rows = []
+    for j in range(1, k + 1):
+        shifts = [lift(beta) for beta in exponent_vectors(n, k - j)]
+        for terms in generators[j - 1]:
+            for mu in shifts:
+                row = [0] * ncols
+                for kappa, c in terms:
+                    i = index[tuple([a + b for a, b in zip(mu, kappa)])]
+                    row[i] = c * weights[i]
+                rows.append(row)
+    return kernel_dimension(rows, ncols)
 
 
 def coinvariant_kernel_dim(
@@ -148,36 +210,41 @@ def coinvariant_kernel_dim(
     max_entries: int = DEFAULT_MAX_MATRIX_ENTRIES,
 ) -> int:
     """Dimension of the homogeneous polynomials of the given degree that are
-    annihilated by every ideal generator applied as a differential operator.
-
-    A product X^mu * g of degree d pairs against P = sum c_nu X^nu through
-    <X^nu, X^nu> = nu!, so each product contributes the linear condition
-    sum over nu of (coefficient of X^nu in X^mu * g) * nu! * c_nu = 0.
-    The system's size is counted before anything is built: one row per
-    product, one column per degree-d monomial.
-    """
-    ncols = comb(n + degree - 1, degree)
-    nrows = sum(
-        count * comb(n + degree - gdeg - 1, degree - gdeg)
-        for gdeg, count in _generator_degrees(n, m, degree, ideal)
+    annihilated by every ideal generator applied as a differential operator:
+    the sum of the kernels of the residue blocks in that degree."""
+    generators: list = []
+    return sum(
+        _block_kernel_dim(n, m, alpha, (degree - s) // m, ideal, max_entries, generators)
+        for s in range(degree % m, min(degree, n * (m - 1)) + 1, m)
+        for alpha in _residues(n, m, s)
     )
-    if nrows and nrows * ncols > max_entries:
-        raise ResourceLimitError(
-            f"kernel system for n={n}, m={m}, degree={degree} "
-            f"exceeds cap of {max_entries} entries"
-        )
-    monomials = exponent_vectors(n, degree)
-    index = {nu: i for i, nu in enumerate(monomials)}
-    rows = []
-    for g in _ideal_generators(n, m, degree, ideal):
-        gdeg = g.degree()
-        for mu in exponent_vectors(n, degree - gdeg):
-            row = [0] * len(monomials)
-            for kappa, c in g.terms.items():
-                nu = tuple(a + b for a, b in zip(mu, kappa))
-                row[index[nu]] = c * exponent_factorial(nu)
-            rows.append(row)
-    return kernel_dimension(rows, len(monomials))
+
+
+def kernel_dims_by_residue(
+    n: int,
+    m: int,
+    ideal: str = "quasi",
+    max_entries: int = DEFAULT_MAX_MATRIX_ENTRIES,
+) -> dict:
+    """{alpha: [kernel dimension of block (alpha, k) for k = 0, 1, ...]} for
+    every residue alpha, each list ending before its block's first zero."""
+    safety = 4 * m * n + 4
+    generators: list = []
+    out = {}
+    for s in range(n * (m - 1) + 1):
+        for alpha in _residues(n, m, s):
+            dims = out[alpha] = []
+            for k in range((safety - s) // m + 1):
+                d = _block_kernel_dim(n, m, alpha, k, ideal, max_entries, generators)
+                if d == 0:
+                    break
+                dims.append(d)
+            else:
+                raise RuntimeError(
+                    f"quotient for n={n}, m={m}, ideal={ideal} "
+                    f"did not terminate by degree {safety}"
+                )
+    return out
 
 
 def kernel_dims_until_zero(
@@ -186,18 +253,12 @@ def kernel_dims_until_zero(
     ideal: str = "quasi",
     max_entries: int = DEFAULT_MAX_MATRIX_ENTRIES,
 ) -> list:
-    """Kernel dimensions for degree 0, 1, 2, ... stopping at the first zero.
-
-    The quotient is a graded algebra generated in degree one, so an empty
-    degree stays empty above it and the list captures the whole series.
-    """
-    safety = 4 * m * n + 4
-    dims = []
-    for k in range(safety + 1):
-        d = coinvariant_kernel_dim(n, m, k, ideal=ideal, max_entries=max_entries)
-        if d == 0:
-            return dims
-        dims.append(d)
-    raise RuntimeError(
-        f"quotient for n={n}, m={m}, ideal={ideal} did not terminate by degree {safety}"
-    )
+    """Kernel dimensions for degree 0, 1, 2, ... up to the last nonzero one:
+    ``kernel_dims_by_residue`` summed by degree."""
+    dims: list = []
+    for alpha, block in kernel_dims_by_residue(n, m, ideal, max_entries).items():
+        for k, d in enumerate(block):
+            degree = sum(alpha) + m * k
+            dims.extend([0] * (degree + 1 - len(dims)))
+            dims[degree] += d
+    return dims

@@ -20,8 +20,8 @@ from __future__ import annotations
 from math import gcd, lcm
 
 # Default cap on the work of the two callers that build systems by degree:
-# the dense entries (rows times columns) of a kernel-oracle system, and the
-# generator images walked for a fixed space.
+# the dense entries (rows times columns) of each residue block of the kernel
+# oracle, and the generator images walked for a fixed space.
 DEFAULT_MAX_MATRIX_ENTRIES = 1_000_000
 
 

@@ -165,6 +165,26 @@ def test_kernel_cap_env_override(capsys, monkeypatch):
     assert "resource limit" in err
 
 
+@pytest.mark.parametrize("n,m,dimension", [(4, 3, 1134), (4, 4, 3584)])
+def test_harmonic_dim_runs_inside_the_default_cap(n, m, dimension, capsys):
+    argv = ["dim", "--n", str(n), "--m", str(m), "--method", "harmonic"]
+    code, doc, _ = run_json(argv, capsys)
+    assert code == 0
+    assert doc["result"]["dimension"] == dimension == m**n * 14
+
+
+def test_kernel_cap_env_override_counts_each_residue_block(capsys, monkeypatch):
+    """The largest residue block of n = 4 has 64 rows and 35 columns."""
+    argv = ["dim", "--n", "4", "--m", "3", "--method", "harmonic"]
+    monkeypatch.setenv("QUASICOV_MAX_KERNEL_ENTRIES", str(64 * 35 - 1))
+    code, _, err = run_cli(argv, capsys)
+    assert code == 3
+    assert "resource limit" in err
+    monkeypatch.setenv("QUASICOV_MAX_KERNEL_ENTRIES", str(64 * 35))
+    code, doc, _ = run_json(argv, capsys)
+    assert code == 0 and doc["result"]["dimension"] == 1134
+
+
 def test_unknown_suite_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense", "--n", "2", "--m", "2"])

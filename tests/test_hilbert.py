@@ -3,6 +3,7 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quasicov import hilbert
 from quasicov.errors import ResourceLimitError
@@ -11,6 +12,7 @@ from quasicov.hilbert import (
     HilbertSeries,
     coinvariant_kernel_dim,
     dyck_series,
+    kernel_dims_by_residue,
     kernel_dims_until_zero,
     quotient_series,
     series_from_monomials,
@@ -18,6 +20,8 @@ from quasicov.hilbert import (
 )
 from quasicov.linalg import kernel_dimension
 from quasicov.paths import catalan, enumerate_dyck, quotient_basis
+from quasicov.polynomials import exponent_factorial, exponent_vectors
+from quasicov.qsym import elementary_symmetric_power, quasi_invariant_generators
 
 
 def _complete_set(vectors, nvars):
@@ -110,6 +114,8 @@ def test_kernel_dim_examples():
     assert coinvariant_kernel_dim(2, 1, 1, "quasi") == 1  # kernel of d1 + d2
     with pytest.raises(ValueError):
         coinvariant_kernel_dim(2, 1, 1, "other")
+    with pytest.raises(ValueError):
+        kernel_dims_by_residue(2, 2, "other")
 
 
 def test_kernel_dim_resource_cap():
@@ -130,8 +136,9 @@ def test_kernel_cap_is_checked_before_enumerating(monkeypatch):
         coinvariant_kernel_dim(300, 1, 2, "classical")
 
 
-def _built_system_size(monkeypatch, n, m, degree, ideal):
-    """Rows times columns of the system that coinvariant_kernel_dim builds."""
+def _largest_built_block(monkeypatch, n, m, degree, ideal):
+    """Rows times columns of the largest residue block that
+    coinvariant_kernel_dim builds, and the dimension it returns."""
     sizes = []
 
     def record(rows, ncols):
@@ -141,18 +148,83 @@ def _built_system_size(monkeypatch, n, m, degree, ideal):
     monkeypatch.setattr(hilbert, "kernel_dimension", record)
     dim = coinvariant_kernel_dim(n, m, degree, ideal, max_entries=10**9)
     monkeypatch.undo()
-    return sizes[0], dim
+    return max(sizes), dim
 
 
 @pytest.mark.parametrize("ideal", ["quasi", "classical"])
 @pytest.mark.parametrize("n,m", [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)])
 def test_kernel_cap_is_the_built_system_size(monkeypatch, ideal, n, m):
     for degree in range(3 * m + 2):
-        size, dim = _built_system_size(monkeypatch, n, m, degree, ideal)
+        size, dim = _largest_built_block(monkeypatch, n, m, degree, ideal)
         if size:
             with pytest.raises(ResourceLimitError):
                 coinvariant_kernel_dim(n, m, degree, ideal, max_entries=size - 1)
         assert coinvariant_kernel_dim(n, m, degree, ideal, max_entries=size) == dim
+
+
+def _unsplit_kernel_dim(n, m, degree, ideal):
+    """Reference: one dense system for the whole degree, with a row for
+    every product X^mu * g and a column for every degree-d monomial."""
+    if ideal == "quasi":
+        generators = quasi_invariant_generators(n, m, degree)
+    else:
+        generators = [
+            elementary_symmetric_power(k, n, m) for k in range(1, n + 1) if k * m <= degree
+        ]
+    monomials = exponent_vectors(n, degree)
+    index = {nu: i for i, nu in enumerate(monomials)}
+    rows = []
+    for g in generators:
+        for mu in exponent_vectors(n, degree - g.degree()):
+            row = [0] * len(monomials)
+            for kappa, c in g.terms.items():
+                nu = tuple(a + b for a, b in zip(mu, kappa))
+                row[index[nu]] = c * exponent_factorial(nu)
+            rows.append(row)
+    return kernel_dimension(rows, len(monomials))
+
+
+@given(data=st.data())
+def test_residue_blocks_sum_to_the_unsplit_system(data):
+    n = data.draw(st.integers(1, 3), label="n")
+    m = data.draw(st.integers(1, 3), label="m")
+    degree = data.draw(st.integers(0, 3 * m + 1), label="degree")
+    ideal = data.draw(st.sampled_from(["quasi", "classical"]), label="ideal")
+    assert coinvariant_kernel_dim(n, m, degree, ideal) == _unsplit_kernel_dim(
+        n, m, degree, ideal
+    )
+
+
+def _q_factorial(n):
+    """Coefficients of [n]_t! = (1)(1 + t)...(1 + t + ... + t^(n-1))."""
+    coefficients = [1]
+    for i in range(1, n + 1):
+        coefficients = [
+            sum(coefficients[j - a] for a in range(i) if 0 <= j - a < len(coefficients))
+            for j in range(len(coefficients) + i - 1)
+        ]
+    return coefficients
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_each_residue_block_carries_the_m_1_series(n, m):
+    """Every residue block alpha carries the (n, 1) series in t^m: the Dyck
+    series D_n for the quasi ideal and [n]_t! for the classical one."""
+    assert sum(_q_factorial(n)) == factorial(n)
+    for ideal, series in [("quasi", list(dyck_series(n).coefficients)),
+                          ("classical", _q_factorial(n))]:
+        blocks = kernel_dims_by_residue(n, m, ideal)
+        assert len(blocks) == m**n
+        assert all(max(alpha) < m for alpha in blocks)
+        assert all(dims == series for dims in blocks.values()), (ideal, blocks)
+
+
+def test_kernel_walk_caps_the_first_residue_before_the_others():
+    """At n = 300 the zero residue's block at k = 2 exceeds the cap,
+    so the 2^300 other residues are never reached."""
+    with pytest.raises(ResourceLimitError):
+        kernel_dims_by_residue(300, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -79,13 +79,30 @@ every dividend term.  Every divisor is homogeneous.  Then:
   its lowest set bit is the first of them in list order.
 
 A divisor is stored as its primitive integer multiple with a positive
-leading coefficient lc, and the dividend as its own primitive multiple.
+leading coefficient lc; a dividend may be any integer multiple.
 To cancel a term c, with g = gcd(c, lc) and a = lc / g, the work and the
 remainder are scaled by a (only when a != 1) and (c / g) times the divisor
 is subtracted.  Scaling by a nonzero constant keeps the support, so each
 step pops the same monomial and picks the same first divisor in list order
 as division over Fractions; the integer remainder is the Fraction one
 times the product of the scales, and ``normal_form`` divides it back out.
+The largest remaining key comes from a max-heap.  Each key a step adds,
+q + mu with mu < lm, lies below the popped nu, so a popped key never comes
+back: a key is pushed once, when it enters the work, and a term that
+cancels stays as a zero, skipped when popped.  The nonzero terms are
+popped in the order of max(work).
+
+``buchberger`` stays in this packed form and builds its Polynomials once,
+at the end.  Its elements are the stored divisors f = (lm, lc, tail), and
+the S-pair of f_i and f_j with packed lcm L is
+
+    lc_j x^(L - lm_i) f_i  -  lc_i x^(L - lm_j) f_j,
+
+made by adding the int L - lm to every key; the leading terms cancel.
+This is lc_i lc_j times the S-polynomial of the monic elements, so its
+division takes the same steps and its remainder is the rational one times
+a nonzero integer.  ``_Divisors.insert`` divides out the content and the
+sign, so the stored element is the same as that of the monic remainder.
 """
 
 from __future__ import annotations
@@ -94,7 +111,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import add, itemgetter, le, sub
+from operator import add, itemgetter, le, lshift, sub
 import bisect
 import heapq
 
@@ -150,8 +167,6 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
                 f"degree {p.degree()} exceeds basis bound {basis.degree_bound}"
             )
         divisors = basis._divisors
-    elif isinstance(basis, _Divisors):
-        divisors = basis
     else:
         divisors = _Divisors(p.nvars, basis, p.degree() if p.terms else 0)
     return divisors.normal_form(p)
@@ -173,24 +188,18 @@ class _Divisors:
         self.nvars = nvars
         self.degree = max([degree, *(g.degree() for g in polys)])
         self.bits = max(self.degree.bit_length(), 1)
+        self.shifts = [self.bits * (nvars - 1 - v) for v in range(nvars)]
         self.packed: list = []
         self.index = [[0] for _ in range(nvars)]
         for g in polys:
             self.append(g)
 
     def _key(self, nu) -> int:
-        key = 0
-        for e in nu:
-            key = (key << self.bits) | e
-        return key
+        return sum(map(lshift, nu, self.shifts))
 
     def _exponents(self, key: int) -> tuple:
         mask = (1 << self.bits) - 1
-        nu = []
-        for _ in range(self.nvars):
-            nu.append(key & mask)
-            key >>= self.bits
-        return tuple(reversed(nu))
+        return tuple([key >> shift & mask for shift in self.shifts])
 
     def integer_terms(self, p: Polynomial) -> dict:
         """The primitive integer multiple of the nonzero p, keyed by packed
@@ -247,19 +256,23 @@ class _Divisors:
         return self.polynomial(remainder.items(), ratio / scale)
 
     def divide(self, work: dict) -> tuple:
-        """(R, scale): R / scale is the remainder of ``work``, consumed here."""
+        """(R, scale): R / scale is the remainder of ``work``, consumed here.
+        Zero values in ``work`` are skipped."""
         mask = (1 << self.bits) - 1
-        fields = [
-            (self.bits * (self.nvars - 1 - v), table, len(table))
-            for v, table in enumerate(self.index)
-        ]
+        fields = [(shift, table, len(table)) for shift, table in zip(self.shifts, self.index)]
         packed = self.packed
         everyone = (1 << len(packed)) - 1
         remainder: dict = {}
         scale = 1
-        while work:
-            nu = max(work)
+        # The keys of work, negated: each is pushed once, when it enters.
+        heap = [-k for k in work]
+        heapq.heapify(heap)
+        push, pop, get = heapq.heappush, heapq.heappop, work.get
+        while heap:
+            nu = -pop(heap)
             c = work.pop(nu)
+            if not c:
+                continue
             hits = everyone
             for shift, table, size in fields:
                 e = (nu >> shift) & mask
@@ -282,15 +295,19 @@ class _Divisors:
             b = c // g
             for mu, d in tail:
                 key = q + mu
-                # Drop a cancelled term at once: the loop pops max(work), so
-                # a stored zero would be "reduced" and spawn further zeros.
-                # b * d != 0, so a zero value means the key was present.
-                value = work.get(key, 0) - b * d
-                if value:
-                    work[key] = value
+                value = get(key)
+                if value is None:
+                    work[key] = -b * d
+                    push(heap, -key)
                 else:
-                    del work[key]
+                    work[key] = value - b * d
         return remainder, scale
+
+    def monic(self, divisor) -> Polynomial:
+        """The monic Polynomial of a packed (lm, lc, tail) divisor."""
+        lm, lc, tail = divisor
+        exponents = self._exponents
+        return Polynomial(self.nvars, {exponents(k): Fraction(v, lc) for k, v in ((lm, lc), *tail)})
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -334,7 +351,7 @@ def _autoreduce(polys) -> list:
             i = bisect.bisect_left(packed, max(remainder), key=itemgetter(0))
             divisors.insert(i, remainder)
             i += 1
-    return [divisors.polynomial(((lm, lc), *tail), Fraction(1, lc)) for lm, lc, tail in packed]
+    return list(map(divisors.monic, packed))
 
 
 def _validate_generators(generators, degree_bound):
@@ -366,7 +383,7 @@ def buchberger(generators, degree_bound: int, nvars: int | None = None) -> Groeb
     For d = 0..degree_bound, the queued pairs of lcm degree d are popped in
     the order (lcm degree, lcm, i, j), then each generator of degree d is
     reduced against the basis so far.  A nonzero remainder joins the basis
-    monic and queues its pairs with the earlier elements.  Pairs with
+    and queues its pairs with the earlier elements.  Pairs with
     coprime leading monomials are never queued (Buchberger's first
     criterion), nor are pairs whose lcm degree exceeds the bound, which is
     sound for homogeneous input.  A popped pair is skipped by the chain
@@ -382,23 +399,18 @@ def buchberger(generators, degree_bound: int, nvars: int | None = None) -> Groeb
     by_degree = [[] for _ in range(degree_bound + 1)]
     for g in polys:
         by_degree[g.degree()].append(g)
-    basis: list = []
     lms: list = []
     divisors = _Divisors(nvars, (), degree_bound)
     heap: list = []
     popped: set = set()
 
     def insert(remainder):
-        basis.append(remainder.monic())
-        divisors.append(basis[-1])
-        lmj = _leading(remainder)
+        divisors.insert(len(lms), remainder)
+        lmj = divisors._exponents(divisors.packed[-1][0])
         for i, lmi in enumerate(lms):
-            if not any(map(min, lmi, lmj)):
-                continue
-            lcm = tuple(map(max, lmi, lmj))
-            lcm_deg = sum(lcm)
-            if lcm_deg <= degree_bound:
-                heapq.heappush(heap, (lcm_deg, lcm, i, len(lms)))
+            lcm_deg = sum(map(max, lmi, lmj))
+            if lcm_deg <= degree_bound and any(map(min, lmi, lmj)):
+                heapq.heappush(heap, (lcm_deg, tuple(map(max, lmi, lmj)), i, len(lms)))
         lms.append(lmj)
 
     def left(i, k):
@@ -418,15 +430,31 @@ def buchberger(generators, degree_bound: int, nvars: int | None = None) -> Groeb
             popped.add((i, j))
             if chain(i, j, lcm):
                 continue
-            remainder = normal_form(s_polynomial(basis[i], basis[j]), divisors)
-            if remainder.terms:
+            remainder = _s_pair_remainder(divisors, i, j, divisors._key(lcm))
+            if remainder:
                 insert(remainder)
         for g in by_degree[d]:
-            remainder = normal_form(g, divisors)
-            if remainder.terms:
+            remainder, _ = divisors.divide(divisors.integer_terms(g))
+            if remainder:
                 insert(remainder)
-    ordered = tuple(sorted(basis, key=_leading, reverse=True))
-    return GroebnerBasis(nvars, ordered, degree_bound, reduced=False)
+    ordered = sorted(divisors.packed, key=itemgetter(0), reverse=True)
+    return GroebnerBasis(nvars, tuple(map(divisors.monic, ordered)), degree_bound, reduced=False)
+
+
+def _s_pair_remainder(divisors: _Divisors, i: int, j: int, lcm: int) -> dict:
+    """The integer remainder, up to a nonzero scalar, of the S-pair of
+    divisors i and j, whose leading monomials have the packed lcm ``lcm``:
+    lc_j x^(lcm - lm_i) f_i - lc_i x^(lcm - lm_j) f_j, leading terms
+    cancelled.  Empty when the pair reduces to zero."""
+    lmi, lci, taili = divisors.packed[i]
+    lmj, lcj, tailj = divisors.packed[j]
+    shift = lcm - lmi
+    work = {shift + mu: lcj * d for mu, d in taili}
+    shift = lcm - lmj
+    for mu, d in tailj:
+        key = shift + mu
+        work[key] = work.get(key, 0) - lci * d
+    return divisors.divide(work)[0]
 
 
 def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:

@@ -46,6 +46,14 @@ def test_groebner_json_at_7_1_keeps_its_bytes(capsys):
     )
 
 
+def test_groebner_json_at_6_2_keeps_its_bytes(capsys):
+    code, out, _ = run_cli(["groebner", "--n", "6", "--m", "2", "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "b40a6feda99ea061b9cd7afd7b56c2709fccd1972941d73eb86041e7b2072ab8"
+    )
+
+
 def test_act_worked_example(capsys):
     code, out, _ = run_cli(
         [

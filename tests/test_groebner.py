@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quasicov import cli, groebner
 from quasicov.groebner import (
@@ -130,16 +130,16 @@ def _polynomials(n, max_terms):
     )
 
 
-def _homogeneous_polynomials(n, max_terms):
-    """As ``_polynomials``, but every term of one drawn degree 1..6."""
+def _homogeneous_polynomials(n, max_terms, max_degree=6, coefficients=_coefficients):
+    """As ``_polynomials``, but every term of one drawn degree 1..max_degree."""
 
     def of_degree(d):
         monomial = st.lists(st.integers(0, n - 1), min_size=d, max_size=d).map(
             lambda variables: tuple(variables.count(v) for v in range(n))
         )
-        return st.dictionaries(monomial, _coefficients, min_size=1, max_size=max_terms)
+        return st.dictionaries(monomial, coefficients, min_size=1, max_size=max_terms)
 
-    return st.integers(1, 6).flatmap(of_degree).map(lambda terms: Polynomial(n, terms))
+    return st.integers(1, max_degree).flatmap(of_degree).map(lambda terms: Polynomial(n, terms))
 
 
 @settings(max_examples=200)
@@ -318,59 +318,117 @@ def _fraction_autoreduce(polys):
     return polys
 
 
-class _PolynomialList(list):
-    """Stands in for the packed divisors: the polynomials, in list order."""
+def _graded_reference(generators, degree_bound):
+    """Reference copy of the graded loop at the Polynomial level: the same
+    pair order and chain criterion as ``buchberger``, with S-pairs from
+    ``s_polynomial``, remainders from ``_fraction_normal_form`` and monic
+    basis elements."""
+    polys = [g for g in generators if g.terms]
+    by_degree = [[] for _ in range(degree_bound + 1)]
+    for g in polys:
+        by_degree[g.degree()].append(g)
+    basis, lms, heap, popped = [], [], [], set()
 
-    def __init__(self, nvars, polys=(), degree=0):
-        super().__init__(g for g in polys if g.terms)
+    def coprime(a, b):
+        return not any(min(x, y) for x, y in zip(a, b))
+
+    def insert(remainder):
+        basis.append(remainder.monic())
+        lmj = remainder.leading_monomial()[0]
+        for i, lmi in enumerate(lms):
+            lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
+            if not coprime(lmi, lmj) and sum(lcm) <= degree_bound:
+                heapq.heappush(heap, (sum(lcm), lcm, i, len(lms)))
+        lms.append(lmj)
+
+    def left(i, k):
+        return (min(i, k), max(i, k)) in popped or coprime(lms[i], lms[k])
+
+    for d in range(degree_bound + 1):
+        while heap and heap[0][0] == d:
+            _, lcm, i, j = heapq.heappop(heap)
+            popped.add((i, j))
+            if any(
+                k not in (i, j)
+                and all(a <= b for a, b in zip(lmk, lcm))
+                and left(i, k)
+                and left(j, k)
+                for k, lmk in enumerate(lms)
+            ):
+                continue
+            remainder = _fraction_normal_form(s_polynomial(basis[i], basis[j]), basis)
+            if remainder.terms:
+                insert(remainder)
+        for g in by_degree[d]:
+            remainder = _fraction_normal_form(g, basis)
+            if remainder.terms:
+                insert(remainder)
+    ordered = tuple(sorted(basis, key=lambda g: g.leading_monomial()[0], reverse=True))
+    return GroebnerBasis(polys[0].nvars, ordered, degree_bound, reduced=False)
+
+
+def _fraction_reduced_basis(generators, degree_bound):
+    """``reduced_groebner_basis`` with no packed division anywhere."""
+    basis = _graded_reference(generators, degree_bound)
+    reduced = tuple(reversed(_fraction_autoreduce(basis.generators)))
+    return GroebnerBasis(basis.nvars, reduced, degree_bound, reduced=True)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_engine_matches_fraction_division(n, m, monkeypatch):
+def test_engine_matches_fraction_division(n, m):
     bound = default_degree_bound(n, m)
     gens = quasi_invariant_generators(n, m, bound)
     assert _autoreduce(gens) == _fraction_autoreduce(gens)
-    basis = reduced_groebner_basis(gens, bound)
-    # Run the same engine with the Fraction reference in place of every
-    # use of the packed kernel: buchberger's divisors become a plain list.
-    monkeypatch.setattr(groebner, "normal_form", _fraction_normal_form)
-    monkeypatch.setattr(groebner, "_autoreduce", _fraction_autoreduce)
-    monkeypatch.setattr(groebner, "_Divisors", _PolynomialList)
-    assert reduced_groebner_basis(gens, bound) == basis
+    assert buchberger(gens, bound) == _graded_reference(gens, bound)
+    assert reduced_groebner_basis(gens, bound) == _fraction_reduced_basis(gens, bound)
+
+
+# Small integer ideals: n <= 3, degree <= 3, coefficients in -3..3.
+_small_integers = st.integers(-3, 3).filter(bool).map(Fraction)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            _homogeneous_polynomials(n, 4, 3, _small_integers), min_size=1, max_size=4
+        )
+    )
+)
+# An S-pair of elements with different leading coefficients and a remainder
+# of two terms: it tells lc_j f_i - lc_i f_j from other scalings.
+@example([P("x1^2*x2 + 2*x2^3", 2), P("-3*x1^3 + x1^2*x2", 2)])
+def test_packed_loop_matches_the_graded_reference_on_integer_ideals(gens):
+    bound = max(g.degree() for g in gens) + 2
+    basis = buchberger(gens, bound)
+    assert basis == _graded_reference(gens, bound)
+    reduced = reduce_basis(basis)
+    assert reduced == _fraction_reduced_basis(gens, bound)
+    assert verify_buchberger_criterion(basis)
+    assert verify_buchberger_criterion(reduced)
 
 
 def _spair_counts(run, monkeypatch):
     """Generators in, S-pairs reduced and S-pairs reduced to zero while
-    ``run()`` runs, counted at the boundaries perfbench/tracing.py wraps:
-    an S-pair is a call of s_polynomial, and it reduced to zero when the
-    next normal_form call takes its result and returns zero."""
+    ``run()`` runs, counted at ``buchberger`` and at its S-pair step
+    ``_s_pair_remainder``, which returns an empty remainder for a pair
+    that reduced to zero."""
     counts = [0, 0, 0]
-    last = []
-    buchberger_, s_polynomial_, normal_form_ = (
-        groebner.buchberger, groebner.s_polynomial, groebner.normal_form
-    )
+    buchberger_, s_pair_remainder_ = groebner.buchberger, groebner._s_pair_remainder
 
     def counted_buchberger(generators, *args, **kwargs):
         counts[0] += sum(1 for g in generators if g.terms)
         return buchberger_(generators, *args, **kwargs)
 
-    def counted_s_polynomial(f, g):
-        result = s_polynomial_(f, g)
+    def counted_s_pair_remainder(*args):
+        remainder = s_pair_remainder_(*args)
         counts[1] += 1
-        last[:] = [result]
-        return result
-
-    def counted_normal_form(p, basis):
-        result = normal_form_(p, basis)
-        if last and p is last[0]:
-            counts[2] += not result.terms
-            last.clear()
-        return result
+        counts[2] += not remainder
+        return remainder
 
     monkeypatch.setattr(groebner, "buchberger", counted_buchberger)
-    monkeypatch.setattr(groebner, "s_polynomial", counted_s_polynomial)
-    monkeypatch.setattr(groebner, "normal_form", counted_normal_form)
+    monkeypatch.setattr(groebner, "_s_pair_remainder", counted_s_pair_remainder)
     run()
     return tuple(counts)
 
@@ -421,7 +479,7 @@ def _reference_buchberger(generators, degree_bound):
         push_pairs(j)
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        remainder = normal_form(s_polynomial(basis[i], basis[j]), divisors)
+        remainder = divisors.normal_form(s_polynomial(basis[i], basis[j]))
         if remainder.terms:
             basis.append(remainder.monic())
             lms.append(remainder.leading_monomial()[0])

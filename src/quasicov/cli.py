@@ -7,9 +7,9 @@ when every check passes; usage and parse problems exit 2, resource-cap
 violations exit 3.
 
 Caps default to a group-enumeration limit of 10^4 elements and a limit
-of 10^6 that bounds both the dense entries (rows times columns) of each
-residue block of the kernel oracle and the generator images of each
-fixed-space walk; the environment variables QUASICOV_MAX_GROUP_ORDER and
+of 10^6 that bounds both the rows times columns of each residue block of
+the kernel oracle and the generator images of each fixed-space walk; the
+environment variables QUASICOV_MAX_GROUP_ORDER and
 QUASICOV_MAX_KERNEL_ENTRIES override them.
 """
 

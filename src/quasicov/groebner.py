@@ -110,12 +110,12 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import add, itemgetter, le, lshift, sub
 import bisect
 import heapq
 
-from .linalg import _divide_content, _primitive
+from .linalg import _divide_content
 from .polynomials import Polynomial, degree_histogram
 from .qsym import (
     elementary_symmetric_power,
@@ -203,18 +203,32 @@ class _Divisors:
 
     def integer_terms(self, p: Polynomial) -> dict:
         """The primitive integer multiple of the nonzero p, keyed by packed
-        monomial."""
+        monomial: scaled by the lcm of its denominators, then divided by the
+        gcd of its entries."""
         if p.nvars != self.nvars:
             raise ValueError(f"nvars mismatch: {p.nvars} vs {self.nvars}")
         if not all(isinstance(c, Fraction) for c in p.terms.values()):
             raise ValueError("ideal computations run over the rationals")
         if p.degree() > self.degree:
             raise ValueError(f"degree {p.degree()} exceeds packed degree {self.degree}")
-        return _primitive({self._key(nu): c for nu, c in p.terms.items()})
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        key = self._key
+        return _divide_content(
+            {key(nu): c.numerator * (den // c.denominator) for nu, c in p.terms.items()}
+        )
+
+    def divisor_terms(self, g: Polynomial) -> dict:
+        """``integer_terms`` of the nonzero g, which must be homogeneous."""
+        if not g.is_homogeneous():
+            raise ValueError(f"{g} is not homogeneous")
+        return self.integer_terms(g)
 
     def polynomial(self, terms, ratio: Fraction) -> Polynomial:
-        """The Polynomial of packed (monomial, integer) ``terms`` times ``ratio``."""
-        return Polynomial(self.nvars, {self._exponents(k): v * ratio for k, v in terms})
+        """The Polynomial of packed (monomial, integer) ``terms`` times
+        ``ratio``; a divisor (lm, lc, tail) is monic as ((lm, lc), *tail)
+        times 1 / lc."""
+        num, den, exponents = ratio.numerator, ratio.denominator, self._exponents
+        return Polynomial(self.nvars, {exponents(k): Fraction(v * num, den) for k, v in terms})
 
     def insert(self, i: int, terms: dict):
         """Put the divisor with nonzero homogeneous integer ``terms`` at i."""
@@ -232,9 +246,7 @@ class _Divisors:
 
     def append(self, g: Polynomial):
         """Put the nonzero homogeneous g last."""
-        if not g.is_homogeneous():
-            raise ValueError(f"{g} is not homogeneous")
-        self.insert(len(self.packed), self.integer_terms(g))
+        self.insert(len(self.packed), self.divisor_terms(g))
 
     def pop(self, i: int) -> dict:
         """Remove divisor i; return its integer terms."""
@@ -303,12 +315,6 @@ class _Divisors:
                     work[key] = value - b * d
         return remainder, scale
 
-    def monic(self, divisor) -> Polynomial:
-        """The monic Polynomial of a packed (lm, lc, tail) divisor."""
-        lm, lc, tail = divisor
-        exponents = self._exponents
-        return Polynomial(self.nvars, {exponents(k): Fraction(v, lc) for k, v in ((lm, lc), *tail)})
-
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """lcm(LM f, LM g) / LT(f) * f  -  lcm / LT(g) * g; leading terms cancel."""
@@ -351,30 +357,7 @@ def _autoreduce(polys) -> list:
             i = bisect.bisect_left(packed, max(remainder), key=itemgetter(0))
             divisors.insert(i, remainder)
             i += 1
-    return list(map(divisors.monic, packed))
-
-
-def _validate_generators(generators, degree_bound):
-    nvars = None
-    polys = []
-    for g in generators:
-        if not g.terms:
-            continue
-        if nvars is None:
-            nvars = g.nvars
-        elif g.nvars != nvars:
-            raise ValueError("generators have mixed variable counts")
-        if g.degree() > degree_bound:
-            raise ValueError(
-                f"generator degree {g.degree()} exceeds bound {degree_bound}"
-            )
-        polys.append(g)
-    for g in polys:
-        if not g.is_homogeneous():
-            raise ValueError(f"{g} is not homogeneous")
-        if not all(isinstance(c, Fraction) for c in g.terms.values()):
-            raise ValueError("ideal computations run over the rationals")
-    return nvars, polys
+    return [divisors.polynomial(((lm, lc), *tail), Fraction(1, lc)) for lm, lc, tail in packed]
 
 
 def buchberger(generators, degree_bound: int, nvars: int | None = None) -> GroebnerBasis:
@@ -392,15 +375,18 @@ def buchberger(generators, degree_bound: int, nvars: int | None = None) -> Groeb
     degree above d, and after degree d every pair and generator of degree
     at most d has been treated.
     """
-    found_nvars, polys = _validate_generators(generators, degree_bound)
-    nvars = found_nvars if found_nvars is not None else nvars
+    polys = [g for g in generators if g.terms]
+    nvars = polys[0].nvars if polys else nvars
     if nvars is None:
         raise ValueError("cannot infer the variable count of an empty basis")
-    by_degree = [[] for _ in range(degree_bound + 1)]
-    for g in polys:
-        by_degree[g.degree()].append(g)
     lms: list = []
     divisors = _Divisors(nvars, (), degree_bound)
+    # Every generator is checked and packed before the loop, and before its
+    # degree indexes by_degree.
+    by_degree = [[] for _ in range(degree_bound + 1)]
+    for g in polys:
+        terms = divisors.divisor_terms(g)
+        by_degree[g.degree()].append(terms)
     heap: list = []
     popped: set = set()
 
@@ -433,12 +419,15 @@ def buchberger(generators, degree_bound: int, nvars: int | None = None) -> Groeb
             remainder = _s_pair_remainder(divisors, i, j, divisors._key(lcm))
             if remainder:
                 insert(remainder)
-        for g in by_degree[d]:
-            remainder, _ = divisors.divide(divisors.integer_terms(g))
+        for terms in by_degree[d]:
+            remainder, _ = divisors.divide(terms)
             if remainder:
                 insert(remainder)
     ordered = sorted(divisors.packed, key=itemgetter(0), reverse=True)
-    return GroebnerBasis(nvars, tuple(map(divisors.monic, ordered)), degree_bound, reduced=False)
+    generators = tuple(
+        divisors.polynomial(((lm, lc), *tail), Fraction(1, lc)) for lm, lc, tail in ordered
+    )
+    return GroebnerBasis(nvars, generators, degree_bound, reduced=False)
 
 
 def _s_pair_remainder(divisors: _Divisors, i: int, j: int, lcm: int) -> dict:
@@ -582,11 +571,8 @@ def quasi_ideal_basis(n: int, m: int, degree_bound: int | None = None) -> Groebn
     if m == 1:
         gens = lyndon_quasi_invariant_generators(n, degree_bound)
         return reduced_groebner_basis(gens, degree_bound, nvars=n)
-    generators = tuple(
-        g.substitute_power(m)
-        for g in quasi_ideal_basis(n, 1).generators
-        if m * g.degree() <= degree_bound
-    )
+    substituted = substitute_basis_power(quasi_ideal_basis(n, 1), m)
+    generators = tuple(g for g in substituted.generators if g.degree() <= degree_bound)
     return GroebnerBasis(n, generators, degree_bound, reduced=True)
 
 

@@ -5,7 +5,7 @@ monomials by degree, the closed formulas, and an orthogonal-complement
 oracle that finds the homogeneous polynomials annihilated by every ideal
 generator acting as a differential operator.  The oracle never touches the
 Groebner engine: it pairs the generator multiples against the monomial
-basis and takes an exact kernel rank over Q.
+basis, as sparse integer rows, and takes their exact rank over Q.
 
 Every generator, M_alpha(x^m) or e_k(x^m), lies in Q[x^m], and Q[x] is
 free over Q[x^m] with basis {x^alpha : 0 <= alpha_i < m}.  A product
@@ -35,6 +35,7 @@ from .linalg import DEFAULT_MAX_MATRIX_ENTRIES, kernel_dimension
 from .paths import catalan
 from .polynomials import exponent_factorial, exponent_vectors
 from .qsym import compositions_of, elementary_symmetric_power, monomial_qsym
+from .scalars import _poly_mul
 
 
 class HilbertSeries(namedtuple("HilbertSeries", "coefficients")):
@@ -77,15 +78,6 @@ def series_from_monomials(monomial_set) -> HilbertSeries:
     return HilbertSeries.from_coefficients(monomial_set.degree_histogram())
 
 
-def _poly_mul_int(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
 def dyck_series(n: int) -> HilbertSeries:
     """Closed form for m = 1: coefficient k is the ballot number
     (n-k)/(n+k) * C(n+k, k), counting Dyck vectors of degree k; the total
@@ -104,12 +96,12 @@ def _prefactor_series(n: int, m: int, power: int) -> HilbertSeries:
     """((1 - t^m)/(1 - t))^power * dyck_series(t^m)."""
     prefactor = [1]
     for _ in range(power):
-        prefactor = _poly_mul_int(prefactor, [1] * m)
+        prefactor = _poly_mul(prefactor, [1] * m)
     dyck = dyck_series(n).coefficients
     stretched = [0] * ((len(dyck) - 1) * m + 1)
     for k, c in enumerate(dyck):
         stretched[k * m] = c
-    return HilbertSeries.from_coefficients(_poly_mul_int(prefactor, stretched))
+    return HilbertSeries.from_coefficients(_poly_mul(prefactor, stretched))
 
 
 def quotient_series(n: int, m: int) -> HilbertSeries:
@@ -147,7 +139,7 @@ def _level_generators(n: int, m: int, j: int, ideal: str) -> list:
         gens = [monomial_qsym(a, n).substitute_power(m) for a in compositions_of(j, n)]
     else:
         gens = [elementary_symmetric_power(j, n, m)] if j <= n else []
-    # Every coefficient is 1: as ints they spare rank the Fraction arithmetic.
+    # Every coefficient is 1, so each is kept as an int: rank takes integer rows.
     return [[(kappa, c.numerator) for kappa, c in g.terms.items()] for g in gens]
 
 
@@ -168,7 +160,8 @@ def _block_kernel_dim(n, m, alpha, k, ideal, max_entries, generators) -> int:
     each generator g of degree m*j and each |beta'| = k - j.  X^mu * g pairs
     against P = sum c_nu X^nu through <X^nu, X^nu> = nu!, so its row is the
     condition sum over nu of (coefficient of X^nu in X^mu * g) * nu! * c_nu
-    = 0.  The block's size is counted before anything is built.
+    = 0, stored as {column of nu: that coefficient times nu!}.  The block's
+    size, rows times columns, is counted before anything is built.
     ``generators`` holds the generators built so far, by level j.
     """
     ncols = comb(n + k - 1, k)
@@ -194,7 +187,7 @@ def _block_kernel_dim(n, m, alpha, k, ideal, max_entries, generators) -> int:
         shifts = [lift(beta) for beta in exponent_vectors(n, k - j)]
         for terms in generators[j - 1]:
             for mu in shifts:
-                row = [0] * ncols
+                row = {}
                 for kappa, c in terms:
                     i = index[tuple([a + b for a, b in zip(mu, kappa)])]
                     row[i] = c * weights[i]

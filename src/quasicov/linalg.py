@@ -1,9 +1,9 @@
 """Exact rank over Q by sparse, integer, fraction-free elimination.
 
-``rank`` takes dense rows of ``int`` or ``Fraction`` and keeps only their
-nonzeros, as rows ``{column: int}``: each row is scaled by the lcm of its
-denominators and divided by the gcd of its entries, which leaves the row
-space unchanged.  Any other nonzero entry is a ``TypeError``.
+``rank`` takes sparse integer rows ``{column: int}`` holding no zeros, as
+``hilbert`` builds them.  Each row is divided by the gcd of its entries,
+which leaves the row space unchanged; an entry that is not an ``int`` makes
+that gcd a ``TypeError``.  The caller's rows are not modified.
 
 Elimination is fraction-free: it divides only by gcds, exactly.  Rows are
 taken fewest nonzeros first (a stable sort, so the order is deterministic);
@@ -17,24 +17,12 @@ column; the rank is the number of pivots.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 # Default cap on the work of the two callers that build systems by degree:
-# the dense entries (rows times columns) of each residue block of the kernel
-# oracle, and the generator images walked for a fixed space.
+# the rows times columns of each residue block of the kernel oracle, and the
+# generator images walked for a fixed space.
 DEFAULT_MAX_MATRIX_ENTRIES = 1_000_000
-
-
-def _primitive(row: dict) -> dict:
-    """The integer row with coprime entries on the same line as ``row``,
-    whose entries must be ints or Fractions."""
-    try:
-        den = lcm(*(v.denominator for v in row.values()))
-    except AttributeError:
-        kinds = sorted({type(v).__name__ for v in row.values()})
-        raise TypeError(f"rank needs int or Fraction entries, got {kinds}") from None
-    row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
-    return _divide_content(row)
 
 
 def _divide_content(row: dict) -> dict:
@@ -46,11 +34,9 @@ def _divide_content(row: dict) -> dict:
 
 
 def rank(rows) -> int:
-    """Rank over Q of a matrix given as dense rows."""
-    sparse = ({c: v for c, v in enumerate(r) if v} for r in rows)
-    int_rows = sorted((_primitive(entries) for entries in sparse if entries), key=len)
+    """Rank over Q of a matrix given as sparse integer rows."""
     pivots: dict[int, dict] = {}
-    for row in int_rows:
+    for row in sorted((_divide_content(dict(r)) for r in rows), key=len):
         while row:
             lead = max(row)
             pivot = pivots.get(lead)

@@ -245,6 +245,12 @@ def test_buchberger_rejects_inhomogeneous_input():
         buchberger([P("x1", 1), P("x1 + x1^2", 1)], 3)
 
 
+def test_buchberger_rejects_generators_past_the_bound():
+    # Checked before the generator's degree picks its slot in the loop.
+    with pytest.raises(ValueError, match="exceeds packed degree"):
+        buchberger([P("x1^2", 2), P("x1^4 + x2^4", 2)], 3)
+
+
 def test_buchberger_rejects_cyclotomic_coefficients():
     with pytest.raises(ValueError):
         buchberger([promote_to_cyclotomic(P("x1 + x2", 2), 3)], 3)

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
+from test_linalg import sparse_int_rows
 
 from quasicov import hilbert
 from quasicov.errors import ResourceLimitError
@@ -181,7 +182,7 @@ def _unsplit_kernel_dim(n, m, degree, ideal):
                 nu = tuple(a + b for a, b in zip(mu, kappa))
                 row[index[nu]] = c * exponent_factorial(nu)
             rows.append(row)
-    return kernel_dimension(rows, len(monomials))
+    return kernel_dimension(sparse_int_rows(rows), len(monomials))
 
 
 @given(data=st.data())

@@ -1,10 +1,12 @@
 """Sparse integer elimination against a dense field-elimination reference.
 
-``rank`` works over Q only.  A matrix over Q(zeta_m) reaches it through its
-regular representation, whose rank over Q is phi(m) times the rank over
-Q(zeta_m) that ``dense_rank`` finds by dividing in the field."""
+``rank`` takes sparse integer rows {column: int}.  A rational matrix
+reaches it through ``sparse_int_rows``, and a matrix over Q(zeta_m) through
+its regular representation first, whose rank over Q is phi(m) times the
+rank over Q(zeta_m) that ``dense_rank`` finds by dividing in the field."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -49,6 +51,16 @@ def dense_rank(rows) -> int:
         if r == len(rows):
             break
     return r
+
+
+def sparse_int_rows(rows):
+    """Dense rational rows as ``rank`` takes them: each row scaled by the lcm
+    of its denominators, which keeps the row space, with its zeros dropped."""
+    out = []
+    for r in rows:
+        den = lcm(*(Fraction(v).denominator for v in r))
+        out.append({c: int(v * den) for c, v in enumerate(r) if v})
+    return out
 
 
 def regular_rows(rows, order):
@@ -108,24 +120,39 @@ def test_rank_matches_dense_reference(order, data):
     expected = dense_rank(base)
     assert dense_rank(mixed) == expected
     if order is None:
-        assert rank(base) == expected
-        assert rank(mixed) == expected
+        assert rank(sparse_int_rows(base)) == expected
+        assert rank(sparse_int_rows(mixed)) == expected
     else:
         phi = euler_phi(order)
-        assert rank(regular_rows(base, order)) == phi * expected
-        assert rank(regular_rows(mixed, order)) == phi * expected
+        assert rank(sparse_int_rows(regular_rows(base, order))) == phi * expected
+        assert rank(sparse_int_rows(regular_rows(mixed, order))) == phi * expected
+
+
+@given(data=st.data())
+def test_rank_of_sparse_rows_in_any_key_order(data):
+    ncols = data.draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-50, 50))
+    dense = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    rows = []
+    for r in dense:
+        columns = data.draw(st.permutations([c for c, v in enumerate(r) if v]))
+        rows.append({c: r[c] for c in columns})
+    assert rank(rows) == dense_rank(dense)
+    # The caller's rows are left as they were.
+    assert rows == sparse_int_rows(dense)
 
 
 def test_integer_rows_are_exact():
     # In floating point 1 - 49 * (1 / 49) is not 0, so int rows must stay exact.
-    assert rank([[49, 49], [1, 1]]) == 1
-    assert rank([[1, 1], [49, 49]]) == 1
+    assert rank([{0: 49, 1: 49}, {0: 1, 1: 1}]) == 1
+    assert rank([{0: 1, 1: 1}, {0: 49, 1: 49}]) == 1
 
 
 def test_empty_and_zero_inputs():
     assert rank([]) == 0
-    assert rank([[0, 0, 0], [Fraction(0)] * 3]) == 0
-    assert rank([[Cyclotomic.zero(3)] * 2]) == 0
+    assert rank([{}, {}]) == 0
+    assert rank(sparse_int_rows([[0, 0, 0], [Fraction(0)] * 3])) == 0
+    assert rank(sparse_int_rows(regular_rows([[Cyclotomic.zero(3)] * 2], 3))) == 0
 
 
 def test_cyclotomic_dependence():
@@ -133,16 +160,27 @@ def test_cyclotomic_dependence():
     # The second row is z times the first: dependent over Q(zeta_3) although
     # independent over Q.  phi(3) = 2.
     assert dense_rank([[1, z], [z, z * z]]) == 1
-    assert rank(regular_rows([[1, z], [z, z * z]], 3)) == 2
-    assert rank(regular_rows([[1, z], [z, 1]], 3)) == 4
+    assert rank(sparse_int_rows(regular_rows([[1, z], [z, z * z]], 3))) == 2
+    assert rank(sparse_int_rows(regular_rows([[1, z], [z, 1]], 3))) == 4
 
 
 def test_non_rational_entries_are_rejected():
     for entry in (Cyclotomic.zeta(3), Cyclotomic.from_rational(4, 2), 0.5, "1"):
         with pytest.raises(TypeError):
-            rank([[1, 0], [Fraction(1, 2), entry]])
+            rank([{0: 1}, {0: 2, 1: entry}])
     with pytest.raises(TypeError):
-        kernel_dimension([[Cyclotomic.zeta(3), Cyclotomic.zeta(4)]], 2)
+        kernel_dimension([{0: Cyclotomic.zeta(3), 1: Cyclotomic.zeta(4)}], 2)
+
+
+@pytest.mark.parametrize(
+    "entry", [Fraction(1, 2), Fraction(4, 2), Cyclotomic.zeta(3), 0.5, "1"]
+)
+def test_rank_takes_int_entries_only(entry):
+    # An integral Fraction is still not an int.
+    with pytest.raises(TypeError):
+        rank([{0: 3, 2: entry, 5: -1}])
+    with pytest.raises(TypeError):
+        rank([{1: entry}])
 
 
 @pytest.mark.parametrize("order", [None, 3])
@@ -154,4 +192,4 @@ def test_kernel_dimension_is_columns_minus_rank(order, data):
     if order is not None:
         phi = euler_phi(order)
         base, ncols, expected = regular_rows(base, order), phi * ncols, phi * expected
-    assert kernel_dimension(base, ncols) == expected
+    assert kernel_dimension(sparse_int_rows(base), ncols) == expected

@@ -5,6 +5,7 @@ from itertools import product
 from math import comb
 
 import pytest
+from test_linalg import sparse_int_rows
 
 from quasicov.group import fixed_space_dimension, is_quasi_invariant
 from quasicov.linalg import rank
@@ -210,7 +211,7 @@ def test_quasi_invariant_span_matches_fixed_space(n, m):
             for nu, c in g.terms.items():
                 row[index[nu]] = c
             rows.append(row)
-        span_dim = rank(rows)
+        span_dim = rank(sparse_int_rows(rows))
         expected = count_compositions(d // m, n) if d % m == 0 else 0
         assert span_dim == expected
         assert fixed_space_dimension(n, m, d, "quasi") == expected

@@ -7,7 +7,7 @@ lattice-path basis of the quotient, and its Hilbert series by three
 independent routes.
 """
 
-from .scalars import Cyclotomic, Rational, cyclotomic_polynomial, euler_phi, root_of_unity_power
+from .scalars import Cyclotomic, cyclotomic_polynomial, euler_phi
 from .polynomials import (
     Polynomial,
     apply_diff,

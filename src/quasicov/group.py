@@ -14,8 +14,10 @@ so that act(group_mul(g, h), p) == act(g, act(h, p)) for both actions.
 Either action sends a monomial to one monomial times a power of zeta, so
 the image of a monomial is computed in integers as (exponent vector,
 phase mod m); ``Cyclotomic`` coefficients appear only when an action is
-extended linearly to a polynomial.  Fixed spaces are counted on the same
-integer images, orbit by orbit, with no linear algebra.
+extended linearly to a polynomial, where each term's coefficient is
+multiplied by zeta^phase as a shift of its power-basis coefficients.
+Fixed spaces are counted on the same integer images, orbit by orbit, with
+no linear algebra.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from math import comb, factorial
 from .errors import ResourceLimitError
 from .linalg import DEFAULT_MAX_MATRIX_ENTRIES
 from .polynomials import Polynomial, exponent_vectors, promote_to_cyclotomic
-from .scalars import Cyclotomic, multiplication_block
+from .scalars import Cyclotomic
 
 DEFAULT_MAX_GROUP_ORDER = 10_000
 
@@ -173,20 +175,10 @@ def _extend_linearly(image, g: GroupElement, p: Polynomial) -> Polynomial:
     """Apply a monomial image function term by term over Q(zeta_m)."""
     if p.nvars != g.n:
         raise ValueError(f"polynomial has {p.nvars} variables, element acts on {g.n}")
-    # A term's image coefficient is coeff * zeta^phase.  It is computed as
-    # the integer block of "multiply by zeta^phase" (the regular
-    # representation) applied to coeff's power-basis coefficients, so no
-    # product is reduced by Phi_m.  Each block is built once, on first use.
-    m = g.m
-    blocks: dict = {}
     acc: dict = {}
-    for nu, coeff in promote_to_cyclotomic(p, m).terms.items():
+    for nu, coeff in promote_to_cyclotomic(p, g.m).terms.items():
         mu, phase = image(g, nu)
-        block = blocks.get(phase)
-        if block is None:
-            block = blocks[phase] = multiplication_block(Cyclotomic.zeta(m, phase), m)
-        cs = coeff.coeffs
-        v = Cyclotomic(m, [sum([cs[t] * x for t, x in row]) for row in block])
+        v = coeff.times_zeta(phase)
         acc[mu] = acc[mu] + v if mu in acc else v
     return Polynomial(g.n, acc)
 

@@ -34,7 +34,12 @@ from .errors import ResourceLimitError
 from .linalg import DEFAULT_MAX_MATRIX_ENTRIES, kernel_dimension
 from .paths import catalan
 from .polynomials import exponent_factorial, exponent_vectors
-from .qsym import compositions_of, elementary_symmetric_power, monomial_qsym
+from .qsym import (
+    compositions_of,
+    count_compositions,
+    elementary_symmetric_power,
+    monomial_qsym,
+)
 from .scalars import _poly_mul
 
 
@@ -123,10 +128,7 @@ def _level_counts(n: int, k: int, ideal: str) -> list:
     counted without building them: M_alpha(x^m) for the compositions alpha
     of j into at most n parts, and e_j(x^m) for j <= n."""
     if ideal == "quasi":
-        return [
-            (j, sum(comb(j - 1, i - 1) for i in range(1, min(j, n) + 1)))
-            for j in range(1, k + 1)
-        ]
+        return [(j, count_compositions(j, n)) for j in range(1, k + 1)]
     if ideal == "classical":
         return [(j, 1) for j in range(1, min(n, k) + 1)]
     raise ValueError(f"unknown ideal kind {ideal!r}")

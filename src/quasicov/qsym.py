@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 from .polynomials import Polynomial
 
@@ -42,7 +43,11 @@ def compositions_of(d: int, max_parts: int) -> list:
 
 
 def count_compositions(d: int, max_parts: int) -> int:
-    return len(compositions_of(d, max_parts))
+    """The number of compositions of d into at most max_parts parts, in
+    closed form: C(d-1, i-1) compositions of d > 0 have exactly i parts."""
+    if d == 0:
+        return 1
+    return sum(comb(d - 1, i - 1) for i in range(1, min(d, max_parts) + 1))
 
 
 def vector_to_composition(nu) -> Composition:

@@ -14,12 +14,9 @@ coefficient is canonical: an ``int`` when it is integral and a
 structural, and the integral values that the group actions and the text
 form mostly meet are computed in plain integer arithmetic.  No operation
 divides polynomials: products are reduced by the monic integer Phi_m, and
-``inverse`` is the norm map.
-
-The regular representation lives here too: ``multiplication_block(v, m)``
-is the phi(m) x phi(m) matrix of "multiply by v" on that power basis.  The
-group actions multiply each term's coefficient by zeta^phase through the
-integer block of zeta^phase, with no reduction by Phi_m.
+``inverse`` is the norm map.  Multiplying by zeta^k, the only product the
+group actions need, is a shift of the coefficients by k mod m followed by
+that reduction.
 """
 
 from __future__ import annotations
@@ -28,8 +25,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-Rational = Fraction
 
 
 @lru_cache(maxsize=None)
@@ -181,6 +176,12 @@ class Cyclotomic:
         """The class of z^power, i.e. zeta_m to the given power."""
         k = power % order
         return cls(order, (0,) * k + (1,))
+
+    def times_zeta(self, power: int) -> "Cyclotomic":
+        """self * zeta^power: the coefficients shifted up by power mod m,
+        which ``__init__`` reduces by Phi_m."""
+        k = power % self.order
+        return Cyclotomic(self.order, (0,) * k + self.coeffs) if k else self
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
@@ -365,37 +366,3 @@ class Cyclotomic:
             acc[exp] = acc.get(exp, 0) + sign * coef
         top = max(acc)
         return cls(order, [acc.get(i, 0) for i in range(top + 1)])
-
-
-def root_of_unity_power(m: int, k: int) -> Cyclotomic:
-    """The canonical class of z^(k mod m) in Q(zeta_m)."""
-    return Cyclotomic.zeta(m, k)
-
-
-# ---- the regular representation -----------------------------------------
-
-def multiplication_block(value, order: int) -> tuple:
-    """Rows s = 0..phi-1 of the matrix of "multiply by value" in Q(zeta_m),
-    each as (t, coefficient) pairs for its nonzero columns t.
-
-    Column t holds the power-basis coefficients of value * z^t, so row s
-    applied to the coefficients c of any element gives coefficient s of
-    value * c.  ``value`` is a ``Cyclotomic`` of this order or a rational.
-    """
-    phi = euler_phi(order)
-    tail = cyclotomic_polynomial(order)[:phi]  # z^phi = -sum tail[k] z^k
-    if isinstance(value, Cyclotomic):
-        coeffs = list(value.coeffs)
-    else:
-        coeffs = [value] + [0] * (phi - 1)
-    columns = [coeffs]
-    for _ in range(phi - 1):
-        top = coeffs[-1]
-        coeffs = [-top * tail[0]] + [
-            coeffs[k - 1] - top * tail[k] for k in range(1, phi)
-        ]
-        columns.append(coeffs)
-    return tuple(
-        tuple((t, col[s]) for t, col in enumerate(columns) if col[s])
-        for s in range(phi)
-    )

@@ -1,16 +1,21 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quasicov.cli import _json_text, main
+from quasicov.polynomials import Polynomial, render_polynomial
+from quasicov.scalars import Cyclotomic, euler_phi
 
 
 def run_cli(argv, capsys):
@@ -52,6 +57,70 @@ def test_groebner_json_at_6_2_keeps_its_bytes(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "b40a6feda99ea061b9cd7afd7b56c2709fccd1972941d73eb86041e7b2072ab8"
     )
+
+
+def _pinned_poly(m):
+    """Integer, fractional and cyclotomic terms, with z powers around phi
+    and m - 1, and two terms that cancel: z^m * x1*x2*x3 against x1*x2*x3,
+    and the sum of all m-th roots of unity (zero unless m = 1)."""
+    phi = euler_phi(m)
+    roots = "+".join(["1"] + [f"z^{k}" for k in range(1, m)])
+    return " + ".join([
+        "3*x1^2*x2",
+        f"-1/2*x2*x3^{m}",
+        f"(2/3-z^{phi - 1}+5z^{phi}-z^{m - 1})*x1*x3",
+        f"(z^{m})*x1*x2*x3",
+        "-x1*x2*x3",
+        f"({roots})*x2^2",
+        f"(7/4z^{m // 2 + 1})*x3",
+    ])
+
+
+# stdout sha256 of `act --json` on _pinned_poly(m): the action, scalar and
+# text-format code must keep these bytes at every order, 105 and 300 included.
+ACT_DIGESTS = {
+    (1, "quasi"): "e429107b59073055ff03be79fe169c6769158ab22884f6e8bfbfc57a16bd89b7",
+    (1, "classical"): "ad2e8ad46b02b90837587802a7ec5d437ad3cf2366cc1e641b150705fd1c711c",
+    (2, "quasi"): "57157d0351b72c94321cb5f3cbff45eb642e396a581e4de5234e13674e82ce25",
+    (2, "classical"): "c4dab9b8f7b5570afa1f530c11aa865d9d639269b45419a53d860ff2d36c19a2",
+    (3, "quasi"): "501db6c55ca744b6548751c0372c3378dc9673830ec8d09bec351745011ecb9b",
+    (3, "classical"): "51d72bdd9b74a70da1b03f1db39a6f48408f4a1ee44a4f9d2172ea8ea1d5421d",
+    (5, "quasi"): "47eeb91a8eae4601e650262cd89708ca02ee37f7f2a4fb9f620f4209c7feebb9",
+    (5, "classical"): "0c461d0c3bb7cd44f5b6eb374c197de71f9df3c54122fbbd649f3656e86add97",
+    (7, "quasi"): "bde49ab2ff7c4c108819e1dbc8dcfd4f389b0c41c097e7539e24012b35828861",
+    (7, "classical"): "5f9ed06a5239dbe8a2bf0f8eccf6ffe252a3c345b633189bf2b3854afc5cd0e4",
+    (12, "quasi"): "d4633c46f2a67fa6c9dc6c30ab4b466341022123ef0340b1846a1277a1569752",
+    (12, "classical"): "8f93d8e29dd411abcb9707672ea039bd0e8e2bf7d902af6f5ccb032c7b00df7b",
+    (105, "quasi"): "dffdfb6d22322f6fd2f01b33d751d27b4cd7b2b5b9486ab4527cfde440eacded",
+    (105, "classical"): "bfc203538f6c4b7f3468ac30d25dc2e0484e90153ba9c030dd4087b8ab079d56",
+    (300, "quasi"): "29cf6a4de5a6b087197aac419001a788baae4aa7bc498b3ca313996417a79b81",
+    (300, "classical"): "79f334654f5cb34577eeed3fac23d2b1eb50b4ebf4d8efbcef6964e17281a51b",
+}
+
+
+@pytest.mark.parametrize("m,action", list(ACT_DIGESTS))
+def test_act_json_keeps_its_bytes(m, action, capsys):
+    element = f"tau=3,1,2;weights={1 % m},{(m - 1) % m},{2 % m}"
+    code, out, _ = run_cli(
+        ["act", "--n", "3", "--m", str(m), "--element", element,
+         "--poly", _pinned_poly(m), "--action", action, "--json"],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ACT_DIGESTS[m, action]
+
+
+def test_act_at_order_one_million():
+    # Phi_{10^6}(z) = Phi_10(z^(10^5)), so zeta^-1 = z^(10^5 - 1) - ... in the
+    # power basis.  Multiplying by zeta^999999 costs time linear in m.
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasicov", "act", "--n", "1", "--m", "1000000",
+         "--element", "tau=1;weights=999999", "--poly", "x1"],
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert "output: (z^99999-z^199999+z^299999-z^399999)*x1\n" in proc.stdout.decode()
 
 
 def test_act_worked_example(capsys):
@@ -373,3 +442,51 @@ def test_importing_the_cli_does_not_import_dataclasses():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def _corrupt(draw, text, alphabet):
+    """text, or text with a slice replaced by up to 4 characters of alphabet."""
+    if draw(st.booleans()):
+        return text
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, len(text)))
+    return text[:i] + draw(st.text(alphabet, max_size=4)) + text[j:]
+
+
+@st.composite
+def act_argv(draw):
+    """`act` command lines, well formed or corrupted.  A corrupted --m has
+    at most three characters, so the order stays small."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.sampled_from([1, 2, 3, 5, 12]))
+    tau = draw(st.permutations(range(1, n + 1)))
+    weights = draw(st.lists(st.integers(-1, m), min_size=n, max_size=n))
+    element = "tau=" + ",".join(map(str, tau)) + ";weights=" + ",".join(map(str, weights))
+    rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    coeff = st.lists(rational, max_size=euler_phi(m) + 1).map(lambda cs: Cyclotomic(m, cs))
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    poly = render_polynomial(Polynomial(n, draw(st.dictionaries(exps, coeff, max_size=4))))
+    number = st.text("-0123x", min_size=1, max_size=3)
+    argv = [
+        "act",
+        "--n", draw(st.just(str(n)) | number),
+        "--m", draw(st.just(str(m)) | number),
+        "--element", _corrupt(draw, element, "tau=weights;,-0123 "),
+        "--poly", _corrupt(draw, poly, "x123z^*+-/() 0"),
+    ]
+    if draw(st.booleans()):
+        argv += ["--action", draw(st.sampled_from(["quasi", "classical", "spam"]))]
+    if draw(st.booleans()):
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+@settings(max_examples=300)
+@given(act_argv())
+def test_act_command_lines_end_in_a_contract_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 2, 3)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quasicov.linalg import kernel_dimension, rank
-from quasicov.scalars import Cyclotomic, euler_phi, multiplication_block
+from quasicov.scalars import Cyclotomic, euler_phi
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 12]
 
@@ -66,17 +66,14 @@ def sparse_int_rows(rows):
 def regular_rows(rows, order):
     """Rows over Q of the regular representation of a matrix over
     Q(zeta_order): entry v becomes the phi x phi block of "multiply by v",
-    an injective ring map, so the rank is multiplied by phi."""
+    whose column t holds the coefficients of zeta^t * v.  That is an
+    injective ring map, so the rank is multiplied by phi."""
     phi = euler_phi(order)
     out = []
     for r in rows:
-        blocks = [multiplication_block(v, order) for v in r]
-        for s in range(phi):
-            row = [0] * (phi * len(r))
-            for c, block in enumerate(blocks):
-                for t, x in block[s]:
-                    row[c * phi + t] = x
-            out.append(row)
+        blocks = [[(Cyclotomic.zeta(order, t) * v).coeffs for t in range(phi)]
+                  for v in r]
+        out += [[col[s] for block in blocks for col in block] for s in range(phi)]
     return out
 
 

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasicov.polynomials import (
     Polynomial,
@@ -16,7 +17,7 @@ from quasicov.polynomials import (
     render_polynomial,
     scalar_product,
 )
-from quasicov.scalars import Cyclotomic
+from quasicov.scalars import Cyclotomic, euler_phi
 
 
 def P(text, nvars, order=None):
@@ -191,6 +192,29 @@ def test_text_round_trip_cyclotomic():
             terms[exps] = Cyclotomic(m, coeffs)
         p = Polynomial(n, terms)
         assert parse_polynomial(render_polynomial(p), n, order=m) == p
+
+
+@st.composite
+def text_polynomials(draw):
+    """(p, n, order): p over Q when order is None, else over Q(zeta_order)
+    with coefficient lists one past phi, so some of them reduce."""
+    n = draw(st.integers(1, 4))
+    order = draw(st.none() | st.sampled_from(list(range(1, 31)) + [105]))
+    rational = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+    if order is None:
+        coeff = rational
+    else:
+        size = euler_phi(order) + 1
+        coeff = st.lists(rational, max_size=size).map(lambda cs: Cyclotomic(order, cs))
+    exps = st.tuples(*[st.integers(0, 6)] * n)
+    return Polynomial(n, draw(st.dictionaries(exps, coeff, max_size=6))), n, order
+
+
+@settings(max_examples=150)
+@given(text_polynomials())
+def test_text_round_trip_property(case):
+    p, n, order = case
+    assert parse_polynomial(render_polynomial(p), n, order=order) == p
 
 
 def test_parse_rejects_garbage():

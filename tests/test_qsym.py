@@ -61,6 +61,12 @@ def test_compositions_against_brute_force(d, max_parts):
     assert set(got) == _brute_force_compositions(d, max_parts)
 
 
+def test_count_compositions_is_the_length_of_the_list():
+    for d in range(13):
+        for max_parts in range(7):
+            assert count_compositions(d, max_parts) == len(compositions_of(d, max_parts))
+
+
 def test_vector_to_composition():
     assert vector_to_composition((2, 1, 0, 3, 0, 1)) == (2, 1, 3, 1)
     assert vector_to_composition((0, 0, 0)) == ()

@@ -9,13 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasicov.scalars import (
-    Cyclotomic,
-    cyclotomic_polynomial,
-    euler_phi,
-    multiplication_block,
-    root_of_unity_power,
-)
+from quasicov.scalars import Cyclotomic, cyclotomic_polynomial, euler_phi
 
 
 def _int_poly_mul(a, b):
@@ -105,22 +99,22 @@ def test_cube_root_arithmetic():
 
 
 def test_square_root_of_unity_is_minus_one():
-    w = root_of_unity_power(2, 1)
+    w = Cyclotomic.zeta(2, 1)
     assert w == Fraction(-1)
     assert w == -1
     assert str(w) == "-1"
 
 
 def test_root_of_unity_power_wraps():
-    assert root_of_unity_power(3, 0) == 1
-    assert root_of_unity_power(3, 4) == Cyclotomic.zeta(3)
-    assert root_of_unity_power(5, -1) == Cyclotomic.zeta(5, 4)
+    assert Cyclotomic.zeta(3, 0) == 1
+    assert Cyclotomic.zeta(3, 4) == Cyclotomic.zeta(3)
+    assert Cyclotomic.zeta(5, -1) == Cyclotomic.zeta(5, 4)
 
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_multiplicative_orders(m):
     for k in range(m):
-        w = root_of_unity_power(m, k)
+        w = Cyclotomic.zeta(m, k)
         power = w
         order = 1
         while power != 1:
@@ -134,7 +128,7 @@ def test_multiplicative_orders(m):
 def test_roots_of_unity_sum_to_zero(m):
     total = Cyclotomic.zero(m)
     for k in range(m):
-        total = total + root_of_unity_power(m, k)
+        total = total + Cyclotomic.zeta(m, k)
     assert not total
     assert total == 0
 
@@ -209,18 +203,8 @@ def test_mixed_scalar_arithmetic():
     assert 1 / z == z.inverse()
 
 
-def _times_block(block, coeffs):
-    """The block applied to a power-basis coefficient vector."""
-    return [sum(coeffs[t] * x for t, x in row) for row in block]
-
-
 # Every order up to 12 plus a few with larger phi.
-BLOCK_ORDERS = list(range(1, 13)) + [15, 18, 24, 30]
-
-
-@lru_cache(maxsize=None)
-def _power_blocks(m):
-    return [multiplication_block(Cyclotomic.zeta(m, k), m) for k in range(m)]
+SHIFT_ORDERS = list(range(1, 13)) + [15, 18, 24, 30]
 
 
 def _coefficients(m):
@@ -231,13 +215,16 @@ def _coefficients(m):
     )
 
 
-@pytest.mark.parametrize("m", BLOCK_ORDERS)
+@pytest.mark.parametrize("m", SHIFT_ORDERS)
 @settings(max_examples=10)
 @given(data=st.data())
 def test_power_blocks_multiply_by_roots_of_unity(m, data):
+    # times_zeta shifts the coefficients and reduces by Phi_m; the reference
+    # is the full product with zeta^k.
     c = Cyclotomic(m, data.draw(_coefficients(m)))
-    for k, block in enumerate(_power_blocks(m)):
-        assert Cyclotomic(m, _times_block(block, c.coeffs)) == c * Cyclotomic.zeta(m, k)
+    for k in range(m):
+        assert c.times_zeta(k) == c * Cyclotomic.zeta(m, k)
+    assert c.times_zeta(-1) == c.times_zeta(m - 1)
 
 
 def test_power_blocks_at_order_105():
@@ -247,18 +234,7 @@ def test_power_blocks_at_order_105():
     assert min(cyclotomic_polynomial(m)) == -2
     c = _random_element(random.Random(105), m)
     for k in (0, 1, 47, 48, 49, 77, 104):
-        block = multiplication_block(Cyclotomic.zeta(m, k), m)
-        assert Cyclotomic(m, _times_block(block, c.coeffs)) == c * Cyclotomic.zeta(m, k)
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 12])
-@given(data=st.data())
-def test_multiplication_block_of_any_value(m, data):
-    v = Cyclotomic(m, data.draw(_coefficients(m)))
-    c = Cyclotomic(m, data.draw(_coefficients(m)))
-    assert Cyclotomic(m, _times_block(multiplication_block(v, m), c.coeffs)) == v * c
-    half = Fraction(1, 2)
-    assert Cyclotomic(m, _times_block(multiplication_block(half, m), c.coeffs)) == c * half
+        assert c.times_zeta(k) == c * Cyclotomic.zeta(m, k)
 
 
 # ---- the canonical coefficient form -----------------------------------------

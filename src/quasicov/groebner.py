@@ -93,15 +93,17 @@ cancels stays as a zero, skipped when popped.  The nonzero terms are
 popped in the order of max(work).
 
 ``buchberger`` stays in this packed form and builds its Polynomials once,
-at the end.  Its elements are the stored divisors f = (lm, lc, tail), and
-the S-pair of f_i and f_j with packed lcm L is
+at the end; its divisors become the basis's cached ``_divisors``, which
+``reduce_basis`` interreduces without packing anything again.  Its
+elements are the stored divisors f = (lm, lc, tail), and the S-pair of f_i
+and f_j with packed lcm L is
 
     lc_j x^(L - lm_i) f_i  -  lc_i x^(L - lm_j) f_j,
 
 made by adding the int L - lm to every key; the leading terms cancel.
 This is lc_i lc_j times the S-polynomial of the monic elements, so its
 division takes the same steps and its remainder is the rational one times
-a nonzero integer.  ``_Divisors.insert`` divides out the content and the
+a nonzero integer.  ``_Divisors.append`` divides out the content and the
 sign, so the stored element is the same as that of the monic remainder.
 """
 
@@ -112,7 +114,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import add, itemgetter, le, lshift, sub
-import bisect
 import heapq
 
 from .linalg import _divide_content
@@ -127,7 +128,7 @@ from .qsym import (
 class GroebnerBasis(namedtuple("GroebnerBasis", "nvars generators degree_bound reduced")):
     """``generators`` are monic homogeneous Polynomials, descending by
     leading monomial.  Immutable; the instance dict holds only the cached
-    ``_divisors``."""
+    ``_divisors``, which ``buchberger`` fills with the divisors of its loop."""
 
     def __setattr__(self, name, value):
         raise AttributeError("GroebnerBasis values are immutable")
@@ -160,6 +161,9 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
     step reduces the largest remaining monomial by the first divisor, in
     list order, whose leading monomial divides it.  ``basis`` is a
     ``GroebnerBasis`` or a sequence of homogeneous rational polynomials.
+    A basis from ``buchberger`` divides in the order its elements were
+    found, not in generator order; the remainder through its bound is the
+    same, since it is unique for a Groebner basis.
     """
     if isinstance(basis, GroebnerBasis):
         if p.terms and p.degree() > basis.degree_bound:
@@ -173,7 +177,8 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
 
 
 class _Divisors:
-    """Homogeneous divisors in list order, packed (module docstring).
+    """Homogeneous divisors in list order, packed (module docstring), and
+    only ever appended.
 
     A divisor is stored as (lm, lc, tail): the leading monomial and
     coefficient (lc > 0) of its primitive integer multiple, and its other
@@ -192,7 +197,7 @@ class _Divisors:
         self.packed: list = []
         self.index = [[0] for _ in range(nvars)]
         for g in polys:
-            self.append(g)
+            self.append(self.divisor_terms(g))
 
     def _key(self, nu) -> int:
         return sum(map(lshift, nu, self.shifts))
@@ -230,32 +235,18 @@ class _Divisors:
         num, den, exponents = ratio.numerator, ratio.denominator, self._exponents
         return Polynomial(self.nvars, {exponents(k): Fraction(v * num, den) for k, v in terms})
 
-    def insert(self, i: int, terms: dict):
-        """Put the divisor with nonzero homogeneous integer ``terms`` at i."""
+    def append(self, terms: dict):
+        """Put the divisor with nonzero homogeneous integer ``terms`` last."""
         terms = _divide_content(terms)
         lm = max(terms)
         sign = -1 if terms[lm] < 0 else 1
         tail = tuple((k, sign * v) for k, v in terms.items() if k != lm)
-        self.packed.insert(i, (lm, sign * terms[lm], tail))
-        low, bit = (1 << i) - 1, 1 << i
+        bit = 1 << len(self.packed)
+        self.packed.append((lm, sign * terms[lm], tail))
         for table, e in zip(self.index, self._exponents(lm)):
             table.extend(table[-1:] * (e + 1 - len(table)))
-            for k, t in enumerate(table):
-                t = (t & low) | (t >> i << (i + 1))
-                table[k] = t | bit if k >= e else t
-
-    def append(self, g: Polynomial):
-        """Put the nonzero homogeneous g last."""
-        self.insert(len(self.packed), self.divisor_terms(g))
-
-    def pop(self, i: int) -> dict:
-        """Remove divisor i; return its integer terms."""
-        low = (1 << i) - 1
-        for table in self.index:
-            for k, t in enumerate(table):
-                table[k] = (t & low) | (t >> (i + 1) << i)
-        lm, lc, tail = self.packed.pop(i)
-        return dict(((lm, lc), *tail))
+            for k in range(e, len(table)):
+                table[k] |= bit
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """The remainder of p, equal to that of division over Fractions."""
@@ -334,32 +325,6 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(f.nvars, terms)
 
 
-def _leading(p: Polynomial) -> tuple:
-    return p.leading_monomial()[0]
-
-
-def _autoreduce(polys) -> list:
-    """Reduce each polynomial against the others until stable; drops zeros.
-
-    One ascending sweep suffices: a leading monomial divides only monomials
-    at least as large, so a polynomial re-inserted at its sorted place can
-    make only the ones after it reducible.
-    """
-    polys = sorted((p for p in polys if p.terms), key=_leading)
-    if not polys:
-        return []
-    divisors = _Divisors(polys[0].nvars, polys)
-    packed = divisors.packed
-    i = 0
-    while i < len(packed):
-        remainder, _ = divisors.divide(divisors.pop(i))
-        if remainder:
-            i = bisect.bisect_left(packed, max(remainder), key=itemgetter(0))
-            divisors.insert(i, remainder)
-            i += 1
-    return [divisors.polynomial(((lm, lc), *tail), Fraction(1, lc)) for lm, lc, tail in packed]
-
-
 def buchberger(generators, degree_bound: int, nvars: int | None = None) -> GroebnerBasis:
     """A Groebner basis valid through degree_bound, built degree by degree.
 
@@ -391,7 +356,7 @@ def buchberger(generators, degree_bound: int, nvars: int | None = None) -> Groeb
     popped: set = set()
 
     def insert(remainder):
-        divisors.insert(len(lms), remainder)
+        divisors.append(remainder)
         lmj = divisors._exponents(divisors.packed[-1][0])
         for i, lmi in enumerate(lms):
             lcm_deg = sum(map(max, lmi, lmj))
@@ -427,7 +392,10 @@ def buchberger(generators, degree_bound: int, nvars: int | None = None) -> Groeb
     generators = tuple(
         divisors.polynomial(((lm, lc), *tail), Fraction(1, lc)) for lm, lc, tail in ordered
     )
-    return GroebnerBasis(nvars, generators, degree_bound, reduced=False)
+    basis = GroebnerBasis(nvars, generators, degree_bound, reduced=False)
+    # The cached_property reads the instance dict; __setattr__ raises.
+    vars(basis)["_divisors"] = divisors
+    return basis
 
 
 def _s_pair_remainder(divisors: _Divisors, i: int, j: int, lcm: int) -> dict:
@@ -447,11 +415,27 @@ def _s_pair_remainder(divisors: _Divisors, i: int, j: int, lcm: int) -> dict:
 
 
 def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
-    """The unique reduced monic basis with the same initial ideal.  An
-    element whose leading monomial another divides reduces to zero, since
-    the others still form a basis through the bound."""
-    ordered = tuple(reversed(_autoreduce(basis.generators)))
-    return GroebnerBasis(basis.nvars, ordered, basis.degree_bound, reduced=True)
+    """The unique reduced monic basis with the same initial ideal, in one
+    ascending pass over the packed elements: each is divided by the ones
+    already kept.  A leading monomial divides only monomials at least as
+    large, so no later element can reduce a kept one.  In a basis through
+    the bound the remainder either is zero (the element was redundant) or
+    keeps its leading monomial: a lower one would lie in the initial ideal
+    and so be divisible by a kept leading monomial."""
+    divisors = basis._divisors
+    reduced = _Divisors(basis.nvars, (), divisors.degree)
+    for lm, lc, tail in sorted(divisors.packed, key=itemgetter(0)):
+        remainder, _ = reduced.divide(dict(((lm, lc), *tail)))
+        if not remainder:
+            continue
+        if max(remainder) != lm:
+            raise ValueError("not a Groebner basis through its degree bound")
+        reduced.append(remainder)
+    generators = tuple(
+        reduced.polynomial(((lm, lc), *tail), Fraction(1, lc))
+        for lm, lc, tail in reversed(reduced.packed)
+    )
+    return GroebnerBasis(basis.nvars, generators, basis.degree_bound, reduced=True)
 
 
 def reduced_groebner_basis(generators, degree_bound: int, nvars: int | None = None) -> GroebnerBasis:

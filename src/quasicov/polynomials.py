@@ -22,8 +22,6 @@ from fractions import Fraction
 
 from .scalars import Cyclotomic
 
-ExponentVector = tuple  # tuple[int, ...]
-
 
 def lex_compare(nu, mu) -> int:
     """-1, 0 or +1; positive iff the first nonzero entry of nu-mu is > 0."""
@@ -161,7 +159,7 @@ class Polynomial:
         self._check_compatible(other)
         acc = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc[exps] = acc.get(exps, 0) + coeff
+            acc[exps] = acc[exps] + coeff if exps in acc else coeff
         return Polynomial(self.nvars, acc)
 
     def __sub__(self, other):
@@ -181,7 +179,7 @@ class Polynomial:
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 key = tuple(a + b for a, b in zip(ea, eb))
-                acc[key] = acc.get(key, 0) + ca * cb
+                acc[key] = acc[key] + ca * cb if key in acc else ca * cb
         return Polynomial(self.nvars, acc)
 
     def __rmul__(self, other):
@@ -279,7 +277,7 @@ def apply_diff(p: Polynomial, q: Polynomial) -> Polynomial:
                 for i in range(k):
                     factor *= n - i
             key = tuple(n - k for k, n in zip(kappa, nu))
-            acc[key] = acc.get(key, 0) + c * d * factor
+            acc[key] = acc[key] + c * d * factor if key in acc else c * d * factor
     return Polynomial(p.nvars, acc)
 
 

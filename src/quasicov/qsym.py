@@ -110,8 +110,6 @@ def fundamental_qsym(alpha, n: int) -> Polynomial:
 
 def is_quasi_symmetric(p: Polynomial) -> bool:
     """True iff the coefficient of X^nu depends only on the composition of nu."""
-    from math import comb
-
     by_composition: dict = {}
     for exps, coeff in p.terms.items():
         alpha = vector_to_composition(exps)

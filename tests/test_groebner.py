@@ -5,6 +5,7 @@ import heapq
 import random
 from fractions import Fraction
 from functools import partial
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +14,6 @@ from quasicov import cli, groebner
 from quasicov.groebner import (
     GroebnerBasis,
     StandardMonomialSet,
-    _autoreduce,
     buchberger,
     classical_degree_bound,
     classical_ideal_basis,
@@ -272,6 +272,77 @@ def test_reduce_basis():
     assert [str(g) for g in reduce_basis(tied).generators] == ["x1", "x2"]
 
 
+def test_reduce_basis_rejects_a_basis_that_is_not_groebner_through_its_bound():
+    # x1^2 + x1*x2 reduces to -x2^2, which no leading monomial divides.
+    gens = (P("x1^2 + x2^2", 2), P("x1^2 + x1*x2", 2), P("x1*x2", 2))
+    with pytest.raises(ValueError, match="not a Groebner basis through its degree bound"):
+        reduce_basis(GroebnerBasis(2, gens, 2, False))
+
+
+def test_reduce_basis_takes_the_packed_elements_of_buchberger(monkeypatch):
+    bound = default_degree_bound(4, 1)
+    basis = buchberger(quasi_invariant_generators(4, 1, bound), bound)
+    calls = []
+    integer_terms = groebner._Divisors.integer_terms
+
+    def counted_integer_terms(self, p):
+        calls.append(p)
+        return integer_terms(self, p)
+
+    monkeypatch.setattr(groebner._Divisors, "integer_terms", counted_integer_terms)
+    reduced = reduce_basis(basis)
+    assert calls == []
+    # The same tuple without the cached divisors packs every generator.
+    assert reduce_basis(GroebnerBasis(*basis)) == reduced
+    assert len(calls) == len(basis.generators)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(_homogeneous_polynomials(n, 4, 4), max_size=8),
+            st.tuples(*[st.integers(0, 5)] * n),
+        )
+    )
+)
+def test_divisor_index_marks_the_divisors_of_a_monomial(drawn):
+    polys, nu = drawn
+    divisors = groebner._Divisors(len(nu), (), 4)
+    for g in polys:
+        divisors.append(divisors.divisor_terms(g))
+    lms = [divisors._exponents(lm) for lm, _, _ in divisors.packed]
+    everyone = (1 << len(lms)) - 1
+    for v, table in enumerate(divisors.index):
+        for e, bits in enumerate(table):
+            assert bits == sum(1 << i for i, lm in enumerate(lms) if lm[v] <= e)
+        assert table[-1] == everyone
+    hits = everyone
+    for table, e in zip(divisors.index, nu):
+        if e < len(table):
+            hits &= table[e]
+    assert hits == sum(1 << i for i, lm in enumerate(lms) if all(map(le, lm, nu)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(_homogeneous_polynomials(n, 4, 3, _small_integers), min_size=1, max_size=4),
+            _polynomials(n, 6),
+        )
+    )
+)
+# x2 is packed before x1^2, the reverse of the generator order.
+@example(([P("x2", 2), P("x1^2 + x1*x2", 2)], P("x1^3 + 2*x1^2*x2 - x2^2 + x1", 2)))
+def test_normal_form_by_a_buchberger_basis_ignores_its_insertion_order(drawn):
+    gens, p = drawn
+    bound = max(g.degree() for g in gens) + 2
+    p = Polynomial(p.nvars, {nu: c for nu, c in p.terms.items() if sum(nu) <= bound})
+    basis = buchberger(gens, bound)
+    assert normal_form(p, basis) == normal_form(p, list(basis.generators))
+
+
 def _restart_autoreduce(polys):
     """Reference interreduction: restart from the first polynomial after
     every change."""
@@ -296,22 +367,25 @@ def _restart_autoreduce(polys):
 
 def test_autoreduce_matches_restart_loop():
     pairs = [(n, m) for n in range(1, 5) for m in range(1, 4)] + [(5, 1)]
-    inputs = [quasi_invariant_generators(n, m, default_degree_bound(n, m)) for n, m in pairs]
-    gens = quasi_invariant_generators(3, 1, default_degree_bound(3, 1))
+    bounds = [default_degree_bound(n, m) for n, m in pairs]
+    inputs = [(quasi_invariant_generators(*pair, d), d) for pair, d in zip(pairs, bounds)]
+    bound = default_degree_bound(3, 1)
+    gens = quasi_invariant_generators(3, 1, bound)
     rng = random.Random(13)
     for _ in range(5):
         shuffled = gens[:]
         rng.shuffle(shuffled)
-        inputs.append([g * Fraction(rng.randint(1, 5)) for g in shuffled])
-    inputs.append([P("x1^2 + x2^2", 2), P("x1^2 + x1*x2", 2), P("x1*x2", 2)])
-    for polys in inputs:
-        expected = [str(g) for g in _restart_autoreduce(polys)]
-        assert [str(g) for g in _autoreduce(polys)] == expected
+        inputs.append(([g * Fraction(rng.randint(1, 5)) for g in shuffled], bound))
+    inputs.append(([P("x1^2 + x2^2", 2), P("x1^2 + x1*x2", 2), P("x1*x2", 2)], 2))
+    for polys, bound in inputs:
+        basis = buchberger(polys, bound)
+        expected = [str(g) for g in _restart_autoreduce(basis.generators)]
+        assert [str(g) for g in reversed(reduce_basis(basis).generators)] == expected
 
 
 def _fraction_autoreduce(polys):
-    """Reference interreduction: the same sweep as ``_autoreduce``, over
-    ``_fraction_normal_form``."""
+    """Reference interreduction: re-insert each remainder at its sorted
+    place, over ``_fraction_normal_form``."""
     polys = sorted((p.monic() for p in polys if p.terms), key=lambda q: q.leading_monomial()[0])
     i = 0
     while i < len(polys):
@@ -385,8 +459,10 @@ def _fraction_reduced_basis(generators, degree_bound):
 def test_engine_matches_fraction_division(n, m):
     bound = default_degree_bound(n, m)
     gens = quasi_invariant_generators(n, m, bound)
-    assert _autoreduce(gens) == _fraction_autoreduce(gens)
-    assert buchberger(gens, bound) == _graded_reference(gens, bound)
+    basis = buchberger(gens, bound)
+    expected = tuple(reversed(_fraction_autoreduce(basis.generators)))
+    assert reduce_basis(basis).generators == expected
+    assert basis == _graded_reference(gens, bound)
     assert reduced_groebner_basis(gens, bound) == _fraction_reduced_basis(gens, bound)
 
 
@@ -468,7 +544,7 @@ def _reference_buchberger(generators, degree_bound):
     """The loop without the graded order or the chain criterion: autoreduce
     the input, then reduce every queued pair with non-coprime leading
     monomials and lcm degree within the bound."""
-    basis = _autoreduce(generators)
+    basis = _restart_autoreduce(generators)
     lms = [g.leading_monomial()[0] for g in basis]
     divisors = groebner._Divisors(basis[0].nvars, basis, degree_bound)
     heap = []
@@ -489,7 +565,7 @@ def _reference_buchberger(generators, degree_bound):
         if remainder.terms:
             basis.append(remainder.monic())
             lms.append(remainder.leading_monomial()[0])
-            divisors.append(basis[-1])
+            divisors.append(divisors.divisor_terms(basis[-1]))
             push_pairs(len(basis) - 1)
     ordered = tuple(sorted(basis, key=lambda g: g.leading_monomial()[0], reverse=True))
     return GroebnerBasis(basis[0].nvars, ordered, degree_bound, reduced=False)

@@ -1,10 +1,14 @@
 """Command-line surface: bases, Groebner data, dimensions, actions, suites.
 
-Every command emits a deterministic document with fixed key order
+Each subcommand registers its runner with its parser; a runner reads its
+options from the parsed arguments and returns (result, checks).  ``main``
+validates n, m, --degree-bound and the caps once, then builds the
+deterministic document with fixed key order
 {"n", "m", "command", "result", "checks"}; with --json the document is
 printed as JSON, otherwise as readable text.  The exit code is 0 exactly
-when every check passes; usage and parse problems exit 2, resource-cap
-violations exit 3.
+when every check passes.  A failed check exits 1, after the document is
+written, and stderr names the first failing check; usage and parse
+problems exit 2, resource-cap violations exit 3.
 
 Caps default to a group-enumeration limit of 10^4 elements and a limit
 of 10^6 that bounds both the rows times columns of each residue block of
@@ -19,15 +23,9 @@ import argparse
 import json
 import os
 import sys
-from collections import namedtuple
 
-from .errors import ResourceLimitError
-from .group import (
-    DEFAULT_MAX_GROUP_ORDER,
-    classical_act,
-    parse_group_element,
-    quasi_act,
-)
+from .errors import DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MATRIX_ENTRIES, ResourceLimitError
+from .group import classical_act, parse_group_element, quasi_act
 from .groebner import quasi_ideal_basis, standard_monomials
 from .hilbert import (
     kernel_dims_until_zero,
@@ -35,47 +33,28 @@ from .hilbert import (
     series_from_monomials,
     single_prefactor_series,
 )
-from .linalg import DEFAULT_MAX_MATRIX_ENTRIES
 from .paths import catalan, quotient_basis
 from .polynomials import degree_histogram, parse_polynomial, render_polynomial
 from .verify import SUITES, _check, run_suite
-
-
-RunConfig = namedtuple(
-    "RunConfig",
-    "n m degree_bound as_json out max_group_order max_kernel_entries",
-    defaults=(None, False, None, DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MATRIX_ENTRIES),
-)
 
 
 def _vector_text(nu) -> str:
     return "(" + ",".join(str(e) for e in nu) + ")"
 
 
-def _document(config: RunConfig, command: str, result, checks) -> dict:
-    return {
-        "n": config.n,
-        "m": config.m,
-        "command": command,
-        "result": result,
-        "checks": checks,
-    }
-
-
-def cmd_basis(config: RunConfig) -> dict:
-    vectors = quotient_basis(config.n, config.m)
-    target = config.m**config.n * catalan(config.n)
+def cmd_basis(args):
+    vectors = quotient_basis(args.n, args.m)
+    target = args.m**args.n * catalan(args.n)
     result = {
         "count": len(vectors),
         "histogram": degree_histogram(vectors),
         "monomials": [list(nu) for nu in vectors],
     }
-    checks = [_check("count_equals_dimension_formula", target, len(vectors))]
-    return _document(config, "basis", result, checks)
+    return result, [_check("count_equals_dimension_formula", target, len(vectors))]
 
 
-def cmd_groebner(config: RunConfig) -> dict:
-    basis = quasi_ideal_basis(config.n, config.m, config.degree_bound)
+def cmd_groebner(args):
+    basis = quasi_ideal_basis(args.n, args.m, args.degree_bound)
     sms = standard_monomials(basis, basis.degree_bound)
     result = {
         "degree_bound": basis.degree_bound,
@@ -89,13 +68,13 @@ def cmd_groebner(config: RunConfig) -> dict:
             "monomials": [list(nu) for nu in sms.monomials],
         },
     }
-    return _document(config, "groebner", result, [])
+    return result, []
 
 
-def cmd_dim(config: RunConfig, method: str) -> dict:
-    target = config.m**config.n * catalan(config.n)
-    if method == "groebner":
-        basis = quasi_ideal_basis(config.n, config.m, config.degree_bound)
+def cmd_dim(args):
+    target = args.m**args.n * catalan(args.n)
+    if args.method == "groebner":
+        basis = quasi_ideal_basis(args.n, args.m, args.degree_bound)
         sms = standard_monomials(basis, basis.degree_bound)
         if not sms.complete:
             raise ValueError(
@@ -103,53 +82,49 @@ def cmd_dim(config: RunConfig, method: str) -> dict:
                 "raise --degree-bound"
             )
         dimension = len(sms.monomials)
-    elif method == "basis":
-        dimension = len(quotient_basis(config.n, config.m))
-    elif method == "harmonic":
+    elif args.method == "basis":
+        dimension = len(quotient_basis(args.n, args.m))
+    else:  # harmonic
         dims = kernel_dims_until_zero(
-            config.n, config.m, "quasi", max_entries=config.max_kernel_entries
+            args.n, args.m, "quasi", max_entries=args.max_kernel_entries
         )
         dimension = sum(dims)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    result = {"method": method, "dimension": dimension}
-    checks = [_check("dimension_equals_formula", target, dimension)]
-    return _document(config, "dim", result, checks)
+    result = {"method": args.method, "dimension": dimension}
+    return result, [_check("dimension_equals_formula", target, dimension)]
 
 
-def cmd_act(config: RunConfig, element_text: str, poly_text: str, action: str) -> dict:
-    element = parse_group_element(element_text, config.n, config.m)
-    poly = parse_polynomial(poly_text, config.n, order=config.m)
-    act = quasi_act if action == "quasi" else classical_act
+def cmd_act(args):
+    element = parse_group_element(args.element, args.n, args.m)
+    poly = parse_polynomial(args.poly, args.n, order=args.m)
+    act = quasi_act if args.action == "quasi" else classical_act
     image = act(element, poly)
     result = {
-        "action": action,
-        "element": element_text.strip(),
+        "action": args.action,
+        "element": args.element.strip(),
         "input": render_polynomial(poly),
         "output": render_polynomial(image),
     }
-    return _document(config, "act", result, [])
+    return result, []
 
 
-def cmd_verify(config: RunConfig, suite: str) -> dict:
+def cmd_verify(args):
     checks = run_suite(
-        suite,
-        config.n,
-        config.m,
-        max_group_order=config.max_group_order,
-        max_kernel_entries=config.max_kernel_entries,
+        args.suite,
+        args.n,
+        args.m,
+        max_group_order=args.max_group_order,
+        max_kernel_entries=args.max_kernel_entries,
     )
     overall = "pass" if all(c["pass"] for c in checks) else "fail"
-    result = {"suite": suite, "status": overall}
-    return _document(config, "verify", result, checks)
+    return {"suite": args.suite, "status": overall}, checks
 
 
-def cmd_series(config: RunConfig) -> dict:
-    basis = quasi_ideal_basis(config.n, config.m, config.degree_bound)
+def cmd_series(args):
+    basis = quasi_ideal_basis(args.n, args.m, args.degree_bound)
     sms = standard_monomials(basis, basis.degree_bound)
     series = series_from_monomials(sms)
-    closed = quotient_series(config.n, config.m)
-    literal = single_prefactor_series(config.n, config.m)
+    closed = quotient_series(args.n, args.m)
+    literal = single_prefactor_series(args.n, args.m)
     result = {
         "series": str(closed),
         "coefficients": list(closed.coefficients),
@@ -167,7 +142,7 @@ def cmd_series(config: RunConfig) -> dict:
             list(series.coefficients),
         )
     ]
-    return _document(config, "series", result, checks)
+    return result, checks
 
 
 def _is_int_list(value) -> bool:
@@ -261,92 +236,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, bound=False):
+    def common(name, run, help, bound=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run, degree_bound=None)
         p.add_argument("--n", type=int, required=True, help="number of variables")
         p.add_argument("--m", type=int, required=True, help="cyclic order")
         if bound:
-            p.add_argument("--degree-bound", type=int, default=None)
+            p.add_argument("--degree-bound", type=int)
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--out", default=None, help="write output to a file")
+        return p
 
-    p = sub.add_parser("basis", help="quotient basis from lattice-path combinatorics")
-    common(p)
-
-    p = sub.add_parser("groebner", help="reduced basis and standard monomials")
-    common(p, bound=True)
-
-    p = sub.add_parser("dim", help="quotient dimension by a chosen route")
-    common(p, bound=True)
+    common("basis", cmd_basis, "quotient basis from lattice-path combinatorics")
+    common("groebner", cmd_groebner, "reduced basis and standard monomials", bound=True)
+    p = common("dim", cmd_dim, "quotient dimension by a chosen route", bound=True)
     p.add_argument("--method", choices=("groebner", "basis", "harmonic"), required=True)
-
-    p = sub.add_parser("act", help="apply a group element to a polynomial")
-    common(p)
+    p = common("act", cmd_act, "apply a group element to a polynomial")
     p.add_argument("--element", required=True, help='e.g. "tau=3,1,2;weights=1,0,1"')
     p.add_argument("--poly", required=True, help='e.g. "x1^2*x2"')
     p.add_argument("--action", choices=("quasi", "classical"), default="quasi")
-
-    p = sub.add_parser("series", help="Hilbert series of the quotient")
-    common(p, bound=True)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    common(p)
+    common("series", cmd_series, "Hilbert series of the quotient", bound=True)
+    p = common("verify", cmd_verify, "run a named verification suite")
     p.add_argument("--suite", choices=SUITES, required=True)
-
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
+def _check_args(args) -> None:
+    """Validate n, m and --degree-bound, and store the caps on ``args``."""
     if args.n < 1 or args.m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={args.n}, m={args.m}")
-    max_group = int(os.environ.get("QUASICOV_MAX_GROUP_ORDER", DEFAULT_MAX_GROUP_ORDER))
-    max_kernel = int(
+    args.max_group_order = int(
+        os.environ.get("QUASICOV_MAX_GROUP_ORDER", DEFAULT_MAX_GROUP_ORDER)
+    )
+    args.max_kernel_entries = int(
         os.environ.get("QUASICOV_MAX_KERNEL_ENTRIES", DEFAULT_MAX_MATRIX_ENTRIES)
     )
-    if max_group < 1 or max_kernel < 1:
+    if args.max_group_order < 1 or args.max_kernel_entries < 1:
         raise ValueError("resource caps must be positive")
-    degree_bound = getattr(args, "degree_bound", None)
-    if degree_bound is not None and degree_bound < 0:
-        raise ValueError(f"--degree-bound must be >= 0, got {degree_bound}")
-    return RunConfig(
-        n=args.n,
-        m=args.m,
-        degree_bound=degree_bound,
-        as_json=args.json,
-        out=args.out,
-        max_group_order=max_group,
-        max_kernel_entries=max_kernel,
-    )
+    if args.degree_bound is not None and args.degree_bound < 0:
+        raise ValueError(f"--degree-bound must be >= 0, got {args.degree_bound}")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        if args.command == "basis":
-            doc = cmd_basis(config)
-        elif args.command == "groebner":
-            doc = cmd_groebner(config)
-        elif args.command == "dim":
-            doc = cmd_dim(config, args.method)
-        elif args.command == "act":
-            doc = cmd_act(config, args.element, args.poly, args.action)
-        elif args.command == "series":
-            doc = cmd_series(config)
-        elif args.command == "verify":
-            doc = cmd_verify(config, args.suite)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {args.command!r}")
+        _check_args(args)
+        result, checks = args.run(args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = _json_text(doc) if config.as_json else _render_text(doc)
-    if config.out:
+    doc = {
+        "n": args.n, "m": args.m, "command": args.command, "result": result, "checks": checks
+    }
+    text = _json_text(doc) if args.json else _render_text(doc)
+    if args.out:
         try:
-            with open(config.out, "w", encoding="utf-8") as handle:
+            with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -363,7 +311,7 @@ def main(argv=None) -> int:
             os.close(devnull)
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    failed = [c for c in doc["checks"] if not c["pass"]]
+    failed = [c for c in checks if not c["pass"]]
     if failed:
         first = failed[0]
         print(

@@ -421,7 +421,12 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     large, so no later element can reduce a kept one.  In a basis through
     the bound the remainder either is zero (the element was redundant) or
     keeps its leading monomial: a lower one would lie in the initial ideal
-    and so be divisible by a kept leading monomial."""
+    and so be divisible by a kept leading monomial.
+
+    The input must be a Groebner basis through its bound; this is not
+    checked.  Only a remainder whose leading monomial drops raises
+    ``ValueError``, so an inter-reduced basis that is not a Groebner basis
+    comes back unchanged, marked ``reduced=True``."""
     divisors = basis._divisors
     reduced = _Divisors(basis.nvars, (), divisors.degree)
     for lm, lc, tail in sorted(divisors.packed, key=itemgetter(0)):
@@ -471,11 +476,11 @@ def standard_monomials(basis: GroebnerBasis, through_degree: int) -> StandardMon
     that count against the number of nonzero indices of c.  Work is bounded
     by nvars times the number of standard monomials.
 
-    The search runs on monomials packed into ints, with fields of
-    ``degree_bound.bit_length()`` bits and x1 highest, so int order is lex
-    order and adding e_i is adding one int.  Exponents never exceed
-    through_degree, and leading monomials above that degree cannot match,
-    so no field overflows.
+    The search runs on monomials packed into ints in the layout of
+    ``_Divisors(nvars, (), degree_bound)``, as ``buchberger`` packs them
+    (module docstring), so int order is lex order and adding e_i is adding
+    one int.  Exponents never exceed through_degree, and leading monomials
+    above that degree cannot match, so no field overflows.
 
     The set is complete when the top degree contributes nothing: an empty
     degree stays empty above, so the search may stop at the first one.
@@ -485,14 +490,10 @@ def standard_monomials(basis: GroebnerBasis, through_degree: int) -> StandardMon
             f"through_degree {through_degree} exceeds basis bound {basis.degree_bound}"
         )
     n = basis.nvars
-    bits = max(basis.degree_bound.bit_length(), 1)
-    shifts = [bits * (n - 1 - i) for i in range(n)]
+    codec = _Divisors(n, (), basis.degree_bound)
+    shifts = codec.shifts
     units = [1 << shift for shift in shifts]
-    lms = {
-        sum(e << shift for e, shift in zip(lm, shifts))
-        for lm in basis.leading_monomials()
-        if sum(lm) <= through_degree
-    }
+    lms = {codec._key(lm) for lm in basis.leading_monomials() if sum(lm) <= through_degree}
     # (monomial, its last nonzero index, its number of nonzero indices)
     layer = [] if 0 in lms else [(0, 0, 0)]
     found = [nu for nu, _, _ in layer]
@@ -514,7 +515,7 @@ def standard_monomials(basis: GroebnerBasis, through_degree: int) -> StandardMon
         children.sort()
         found.extend(nu for nu, _, _ in children)
         layer = children
-    mask = (1 << bits) - 1
+    mask = (1 << codec.bits) - 1
     monomials = []
     for nu in found:
         exponents = []

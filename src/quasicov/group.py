@@ -26,12 +26,9 @@ from collections import namedtuple
 from itertools import permutations, product
 from math import comb, factorial
 
-from .errors import ResourceLimitError
-from .linalg import DEFAULT_MAX_MATRIX_ENTRIES
+from .errors import DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MATRIX_ENTRIES, ResourceLimitError
 from .polynomials import Polynomial, exponent_vectors, promote_to_cyclotomic
 from .scalars import Cyclotomic
-
-DEFAULT_MAX_GROUP_ORDER = 10_000
 
 
 class GroupElement(namedtuple("GroupElement", "n m tau weights")):

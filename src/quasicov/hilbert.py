@@ -30,9 +30,8 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .errors import ResourceLimitError
-from .linalg import DEFAULT_MAX_MATRIX_ENTRIES, kernel_dimension
-from .paths import catalan
+from .errors import DEFAULT_MAX_MATRIX_ENTRIES, ResourceLimitError
+from .linalg import kernel_dimension
 from .polynomials import exponent_factorial, exponent_vectors
 from .qsym import (
     compositions_of,

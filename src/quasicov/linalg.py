@@ -19,11 +19,6 @@ from __future__ import annotations
 
 from math import gcd
 
-# Default cap on the work of the two callers that build systems by degree:
-# the rows times columns of each residue block of the kernel oracle, and the
-# generator images walked for a fixed space.
-DEFAULT_MAX_MATRIX_ENTRIES = 1_000_000
-
 
 def _divide_content(row: dict) -> dict:
     """An integer row divided by the gcd of its entries."""

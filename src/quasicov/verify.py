@@ -10,8 +10,8 @@ from __future__ import annotations
 import random
 from math import factorial
 
+from .errors import DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MATRIX_ENTRIES
 from .group import (
-    DEFAULT_MAX_GROUP_ORDER,
     _classical_image,
     _quasi_image,
     enumerate_group,
@@ -31,7 +31,6 @@ from .hilbert import (
     series_from_monomials,
     single_prefactor_series,
 )
-from .linalg import DEFAULT_MAX_MATRIX_ENTRIES
 from .paths import catalan, quotient_basis
 from .polynomials import render_polynomial
 from .qsym import count_compositions

@@ -225,8 +225,23 @@ def test_verify_suites_pass(suite, capsys):
     assert all(c["pass"] for c in doc["checks"])
 
 
-def test_verify_names_first_failing_check(capsys, monkeypatch):
-    # force a cap small enough that the kernel oracle cannot run
+def test_failed_check_exits_1_and_names_it_on_stderr(capsys, monkeypatch):
+    # A wrong Catalan number makes the basis count check fail: the document
+    # is still printed, and stderr names the first failing check.
+    monkeypatch.setattr("quasicov.cli.catalan", lambda n: 3)
+    code, out, err = run_cli(["basis", "--n", "2", "--m", "2", "--json"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["checks"] == [
+        {"name": "count_equals_dimension_formula", "expected": 12, "actual": 8,
+         "pass": False}
+    ]
+    assert err == "failed check count_equals_dimension_formula: expected 12, actual 8\n"
+
+
+def test_group_order_cap_in_verify_is_a_resource_limit(capsys, monkeypatch):
+    # force a cap small enough that the action-axioms suite cannot
+    # enumerate the group
     monkeypatch.setenv("QUASICOV_MAX_GROUP_ORDER", "1")
     code, out, err = run_cli(
         ["verify", "--suite", "action-axioms", "--n", "2", "--m", "2"], capsys

@@ -1,10 +1,10 @@
 """The routes that cross-check each other stay separate in the source.
 
 The kernel oracle (``hilbert`` over ``linalg``) and the lattice-path basis
-(``paths``) must not reach the Groebner engine through any chain of package
-imports, nor the engine reach them: only ``verify`` and the CLI compare the
-routes.  Imports are read from the source with ``ast``, so an import inside
-a function counts too."""
+(``paths``) must not reach the Groebner engine or each other through any
+chain of package imports, nor the engine reach them: only ``verify`` and the
+CLI compare the routes.  Imports are read from the source with ``ast``, so
+an import inside a function counts too."""
 
 import ast
 from pathlib import Path
@@ -41,7 +41,7 @@ def _reachable(module: str) -> set:
 
 
 def test_imports_are_found():
-    assert {"linalg", "paths", "qsym", "polynomials", "scalars"} <= _reachable("hilbert")
+    assert {"linalg", "qsym", "polynomials", "scalars"} <= _reachable("hilbert")
     assert {"linalg", "qsym", "polynomials"} <= _reachable("groebner")
 
 
@@ -52,3 +52,8 @@ def test_oracle_and_paths_do_not_reach_groebner(module):
 
 def test_groebner_does_not_reach_the_oracle_or_the_paths():
     assert not {"hilbert", "paths"} & _reachable("groebner")
+
+
+def test_oracle_and_paths_do_not_reach_each_other():
+    assert "paths" not in _reachable("hilbert")
+    assert "hilbert" not in _reachable("paths")

@@ -12,7 +12,6 @@ from .polynomials import (
     Polynomial,
     apply_diff,
     exponent_vectors,
-    lex_compare,
     parse_polynomial,
     promote_to_cyclotomic,
     render_polynomial,
@@ -22,7 +21,6 @@ from .qsym import (
     compositions_of,
     elementary_symmetric_power,
     fundamental_qsym,
-    is_quasi_symmetric,
     monomial_qsym,
     quasi_invariant_generators,
     vector_to_composition,
@@ -30,7 +28,6 @@ from .qsym import (
 from .group import (
     GroupElement,
     classical_act,
-    element_weight,
     enumerate_group,
     fixed_space_dimension,
     generators,
@@ -43,14 +40,11 @@ from .group import (
     render_group_element,
 )
 from .paths import (
-    LatticePath,
     catalan,
-    classify,
     enumerate_dyck,
     is_dyck,
     minimal_transdiagonal,
     quotient_basis,
-    vector_to_path,
 )
 from .groebner import (
     GroebnerBasis,

@@ -28,7 +28,6 @@ from math import comb, factorial
 
 from .errors import DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MATRIX_ENTRIES, ResourceLimitError
 from .polynomials import Polynomial, exponent_vectors, promote_to_cyclotomic
-from .scalars import Cyclotomic
 
 
 class GroupElement(namedtuple("GroupElement", "n m tau weights")):
@@ -96,19 +95,6 @@ def inverse(g: GroupElement) -> GroupElement:
         tau_inv[image - 1] = i + 1
     weights = tuple((-g.weights[tau_inv[j] - 1]) % g.m for j in range(g.n))
     return GroupElement(g.n, g.m, tuple(tau_inv), weights)
-
-
-def element_weight(g: GroupElement) -> Cyclotomic:
-    """Product of the nonzero matrix entries: zeta^(sum of weights)."""
-    return Cyclotomic.zeta(g.m, sum(g.weights))
-
-
-def to_matrix(g: GroupElement) -> list:
-    zero = Cyclotomic.zero(g.m)
-    rows = [[zero] * g.n for _ in range(g.n)]
-    for i in range(g.n):
-        rows[i][g.tau[i] - 1] = Cyclotomic.zeta(g.m, g.weights[i])
-    return rows
 
 
 def enumerate_group(n: int, m: int, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> list:

@@ -1,10 +1,11 @@
-"""Exponent vectors as north/east lattice paths; Dyck classification.
+"""Dyck and transdiagonal exponent vectors; the lattice-path quotient basis.
 
-A vector (v1, ..., vn) maps to the path E^v1 N E^v2 N ... E^vn N from the
-origin.  The path is Dyck when it stays weakly above the diagonal y = x
-(touching is allowed), which is equivalent to v1 + ... + vi <= i - 1 for
-every i; otherwise it is transdiagonal.  Dyck vectors of length n are
-counted by the Catalan number and have degree at most n - 1.
+A vector (v1, ..., vn) is Dyck when v1 + ... + vi <= i - 1 for every i,
+and transdiagonal otherwise.  (Read as the north/east lattice path
+E^v1 N E^v2 N ... E^vn N from the origin, a Dyck vector is one whose path
+stays weakly above the diagonal y = x; touching is allowed.)  Dyck vectors
+of length n are counted by the Catalan number and have degree at most
+n - 1.
 
 ``quotient_basis`` expands every Dyck vector by all residue vectors
 0 <= alpha_i < m; these m^n * C_n exponent vectors are the standard
@@ -20,59 +21,6 @@ from math import comb
 
 from .polynomials import exponent_vectors
 
-DYCK = "dyck"
-TRANSDIAGONAL = "transdiagonal"
-
-
-class LatticePath:
-    """An E/N step sequence ending at (total east, number of north steps)."""
-
-    __slots__ = ("steps",)
-
-    def __init__(self, steps: str):
-        if any(s not in "EN" for s in steps):
-            raise ValueError(f"path steps must be E or N: {steps!r}")
-        object.__setattr__(self, "steps", steps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticePath values are immutable")
-
-    @property
-    def north(self) -> int:
-        return self.steps.count("N")
-
-    @property
-    def east(self) -> int:
-        return self.steps.count("E")
-
-    def points(self):
-        """All lattice points visited, starting at (0, 0)."""
-        x = y = 0
-        pts = [(0, 0)]
-        for s in self.steps:
-            if s == "E":
-                x += 1
-            else:
-                y += 1
-            pts.append((x, y))
-        return pts
-
-    def __eq__(self, other):
-        return isinstance(other, LatticePath) and self.steps == other.steps
-
-    def __hash__(self):
-        return hash(self.steps)
-
-    def __repr__(self):
-        return f"LatticePath({self.steps!r})"
-
-    def __str__(self):
-        return self.steps
-
-
-def vector_to_path(nu) -> LatticePath:
-    return LatticePath("".join("E" * e + "N" for e in nu))
-
 
 def is_dyck(nu) -> bool:
     total = 0
@@ -81,10 +29,6 @@ def is_dyck(nu) -> bool:
         if total > i:
             return False
     return True
-
-
-def classify(nu) -> str:
-    return DYCK if is_dyck(nu) else TRANSDIAGONAL
 
 
 def _graded_lex_key(nu):

@@ -23,15 +23,6 @@ from fractions import Fraction
 from .scalars import Cyclotomic
 
 
-def lex_compare(nu, mu) -> int:
-    """-1, 0 or +1; positive iff the first nonzero entry of nu-mu is > 0."""
-    if len(nu) != len(mu):
-        raise ValueError(f"length mismatch: {len(nu)} vs {len(mu)}")
-    if nu == mu:
-        return 0
-    return 1 if nu > mu else -1
-
-
 def exponent_vectors(nvars: int, degree: int) -> list:
     """All exponent vectors of the given total degree, ascending lex."""
     out = []
@@ -185,29 +176,6 @@ class Polynomial:
     def __rmul__(self, other):
         return self * other
 
-    def __truediv__(self, scalar):
-        scalar = _coerce_scalar(scalar)
-        if not scalar:
-            raise ZeroDivisionError("polynomial division by zero scalar")
-        if isinstance(scalar, Fraction):
-            inv = Fraction(1) / scalar
-        else:
-            inv = scalar.inverse()
-        return self * inv
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial powers take a natural exponent")
-        result = Polynomial.one(self.nvars)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -228,10 +196,6 @@ class Polynomial:
             self.nvars,
             {tuple(m * e for e in exps): c for exps, c in self.terms.items()},
         )
-
-    def monic(self) -> "Polynomial":
-        _, lead = self.leading_monomial()
-        return self / lead
 
     def __repr__(self):
         return f"Polynomial({self.nvars}, {render_polynomial(self)!r})"

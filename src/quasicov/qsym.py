@@ -55,22 +55,6 @@ def vector_to_composition(nu) -> Composition:
     return tuple(e for e in nu if e > 0)
 
 
-def render_composition(alpha) -> str:
-    return "(" + ",".join(str(a) for a in alpha) + ")"
-
-
-def parse_composition(text: str) -> Composition:
-    s = text.strip()
-    if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1]
-    if not s:
-        return ()
-    parts = tuple(int(tok) for tok in s.split(","))
-    if any(p < 1 for p in parts):
-        raise ValueError(f"composition parts must be positive: {text!r}")
-    return parts
-
-
 def monomial_qsym(alpha, n: int) -> Polynomial:
     """M_alpha in n variables: sum of x_{i1}^{a1}...x_{ik}^{ak} over
     increasing index sequences i1 < ... < ik."""
@@ -106,20 +90,6 @@ def fundamental_qsym(alpha, n: int) -> Polynomial:
         if len(beta) <= n:
             total = total + monomial_qsym(beta, n)
     return total
-
-
-def is_quasi_symmetric(p: Polynomial) -> bool:
-    """True iff the coefficient of X^nu depends only on the composition of nu."""
-    by_composition: dict = {}
-    for exps, coeff in p.terms.items():
-        alpha = vector_to_composition(exps)
-        by_composition.setdefault(alpha, []).append(coeff)
-    for alpha, coeffs in by_composition.items():
-        if len(coeffs) != comb(p.nvars, len(alpha)):
-            return False
-        if any(c != coeffs[0] for c in coeffs[1:]):
-            return False
-    return True
 
 
 def quasi_invariant_generators(n: int, m: int, max_deg: int) -> list:

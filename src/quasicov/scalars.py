@@ -12,11 +12,15 @@ coefficient is canonical: an ``int`` when it is integral and a
 ``Fraction`` otherwise, never a ``Fraction`` with denominator 1.  Since
 ``1 == Fraction(1)`` and both hash alike, equality and hashing stay
 structural, and the integral values that the group actions and the text
-form mostly meet are computed in plain integer arithmetic.  No operation
-divides polynomials: products are reduced by the monic integer Phi_m, and
-``inverse`` is the norm map.  Multiplying by zeta^k, the only product the
-group actions need, is a shift of the coefficients by k mod m followed by
-that reduction.
+form mostly meet are computed in plain integer arithmetic.
+
+The API is that of a ring: +, -, * and ``times_zeta``, with no ``/`` and
+no ``**``, since no computation here divides scalars.  Products are reduced
+by the monic integer Phi_m, so no operation divides polynomials.
+Multiplying by zeta^k, the only product the group actions need, is a shift
+of the coefficients by k mod m followed by that reduction.  ``inverse``
+(the norm map) has no caller in the package; it stays only because
+``perfbench/tracing.py`` patches it to count calls.
 """
 
 from __future__ import annotations
@@ -255,33 +259,6 @@ class Cyclotomic:
         # Phi_m is irreducible, so the norm of a nonzero a is a nonzero integer.
         norm = _reduce_mod_phi(_poly_mul(a, others), m)[0]
         return Cyclotomic(m, [Fraction(c * den, norm) for c in others])
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Cyclotomic.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __bool__(self):
         return any(self.coeffs)

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from quasicov.cli import _json_text, main
 from quasicov.polynomials import Polynomial, render_polynomial
 from quasicov.scalars import Cyclotomic, euler_phi
+from quasicov.verify import SUITES
 
 
 def run_cli(argv, capsys):
@@ -496,12 +497,42 @@ def act_argv(draw):
     return argv + draw(st.sampled_from([[], ["--json"]]))
 
 
+def _exit_code(argv):
+    """``main(argv)`` with its output discarded; argparse's exit code when
+    it rejects the command line."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
 @settings(max_examples=300)
 @given(act_argv())
 def test_act_command_lines_end_in_a_contract_exit_code(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
-    assert code in (0, 2, 3)
+    assert _exit_code(argv) in (0, 2, 3)
+
+
+@st.composite
+def run_argv(draw):
+    """`basis`, `dim`, `series`, `groebner` and `verify` command lines with
+    small or invalid n, m and --degree-bound, and each choice option drawn
+    from its choices plus one invalid string.  n stays at most 4 because
+    larger n reaches work that no cap bounds yet (``basis --n 14 --m 5``)."""
+    command = draw(st.sampled_from(["basis", "dim", "series", "groebner", "verify"]))
+    argv = [command, "--n", str(draw(st.integers(-1, 4))), "--m", str(draw(st.integers(-1, 3)))]
+    if command in ("dim", "series", "groebner"):
+        bound = draw(st.none() | st.integers(-1, 8))
+        if bound is not None:
+            argv += ["--degree-bound", str(bound)]
+    if command == "dim":
+        argv += ["--method", draw(st.sampled_from(["groebner", "basis", "harmonic", "spam"]))]
+    if command == "verify":
+        argv += ["--suite", draw(st.sampled_from(list(SUITES) + ["spam"]))]
+    return argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+@settings(max_examples=60)
+@given(run_argv())
+def test_other_command_lines_end_in_a_contract_exit_code(argv):
+    assert _exit_code(argv) in (0, 1, 2, 3)

@@ -43,6 +43,11 @@ def P(text, nvars):
     return parse_polynomial(text, nvars)
 
 
+def _monic(p):
+    """p scaled by the inverse of its leading coefficient (a Fraction)."""
+    return p * Fraction(1, p.leading_monomial()[1])
+
+
 def _basis(polys, bound):
     ordered = tuple(sorted(polys, key=lambda g: g.leading_monomial()[0], reverse=True))
     return GroebnerBasis(polys[0].nvars, ordered, bound, reduced=True)
@@ -346,7 +351,7 @@ def test_normal_form_by_a_buchberger_basis_ignores_its_insertion_order(drawn):
 def _restart_autoreduce(polys):
     """Reference interreduction: restart from the first polynomial after
     every change."""
-    polys = [p.monic() for p in polys if p.terms]
+    polys = [_monic(p) for p in polys if p.terms]
     changed = True
     while changed:
         changed = False
@@ -358,7 +363,7 @@ def _restart_autoreduce(polys):
                 continue
             changed = True
             if r.terms:
-                polys[i] = r.monic()
+                polys[i] = _monic(r)
             else:
                 polys.pop(i)
             break
@@ -386,14 +391,14 @@ def test_autoreduce_matches_restart_loop():
 def _fraction_autoreduce(polys):
     """Reference interreduction: re-insert each remainder at its sorted
     place, over ``_fraction_normal_form``."""
-    polys = sorted((p.monic() for p in polys if p.terms), key=lambda q: q.leading_monomial()[0])
+    polys = sorted((_monic(p) for p in polys if p.terms), key=lambda q: q.leading_monomial()[0])
     i = 0
     while i < len(polys):
         r = _fraction_normal_form(polys.pop(i), polys)
         if r.terms:
             lead = r.leading_monomial()[0]
             i = bisect.bisect_left(polys, lead, key=lambda q: q.leading_monomial()[0])
-            polys.insert(i, r.monic())
+            polys.insert(i, _monic(r))
             i += 1
     return polys
 
@@ -413,7 +418,7 @@ def _graded_reference(generators, degree_bound):
         return not any(min(x, y) for x, y in zip(a, b))
 
     def insert(remainder):
-        basis.append(remainder.monic())
+        basis.append(_monic(remainder))
         lmj = remainder.leading_monomial()[0]
         for i, lmi in enumerate(lms):
             lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
@@ -563,7 +568,7 @@ def _reference_buchberger(generators, degree_bound):
         _, _, i, j = heapq.heappop(heap)
         remainder = divisors.normal_form(s_polynomial(basis[i], basis[j]))
         if remainder.terms:
-            basis.append(remainder.monic())
+            basis.append(_monic(remainder))
             lms.append(remainder.leading_monomial()[0])
             divisors.append(divisors.divisor_terms(basis[-1]))
             push_pairs(len(basis) - 1)

@@ -3,7 +3,7 @@
 ``rank`` takes sparse integer rows {column: int}.  A rational matrix
 reaches it through ``sparse_int_rows``, and a matrix over Q(zeta_m) through
 its regular representation first, whose rank over Q is phi(m) times the
-rank over Q(zeta_m) that ``dense_rank`` finds by dividing in the field."""
+rank over Q(zeta_m) that ``dense_rank`` finds by field elimination."""
 
 from fractions import Fraction
 from math import lcm
@@ -19,8 +19,9 @@ ORDERS = [1, 2, 3, 4, 5, 6, 8, 12]
 
 def dense_rank(rows) -> int:
     """Dense Gaussian elimination over the field of the entries: the first
-    row with a nonzero entry in the current column is the pivot.  Integers
-    are read as Fractions so that ``/`` stays exact."""
+    row with a nonzero entry in the current column is the pivot, and rows
+    below it subtract multiples of it scaled by the pivot's inverse.
+    Integers are read as Fractions so that every inverse stays exact."""
     rows = [[Fraction(v) if isinstance(v, int) else v for v in r] for r in rows]
     rows = [r for r in rows if any(r)]
     if not rows:
@@ -38,11 +39,12 @@ def dense_rank(rows) -> int:
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pivot = rows[r]
         pv = pivot[col]
+        inv = pv.inverse() if isinstance(pv, Cyclotomic) else 1 / pv
         for i in range(r + 1, len(rows)):
             v = rows[i][col]
             if not v:
                 continue
-            factor = v / pv
+            factor = v * inv
             row = rows[i]
             for j in range(col, ncols):
                 if pivot[j]:

@@ -11,7 +11,6 @@ from quasicov.polynomials import (
     Polynomial,
     apply_diff,
     exponent_vectors,
-    lex_compare,
     parse_polynomial,
     promote_to_cyclotomic,
     render_polynomial,
@@ -30,16 +29,9 @@ def assert_cancelled_to(p, expected):
     assert 0 not in p.terms.values()
 
 
-def test_lex_compare_examples():
-    assert lex_compare((1, 0, 0), (0, 5, 7)) == 1
-    assert lex_compare((2, 1, 0), (2, 0, 1)) == 1
-    assert lex_compare((1, 2), (1, 2)) == 0
-    assert lex_compare((0, 1), (1, 0)) == -1
-    with pytest.raises(ValueError):
-        lex_compare((1, 0), (1, 0, 0))
-
-
 def test_lex_order_is_multiplicative():
+    # The monomial order is native tuple order on exponent vectors; it must
+    # survive multiplication by a common monomial.
     rng = random.Random(42)
     for _ in range(200):
         n = rng.randint(1, 5)
@@ -48,7 +40,8 @@ def test_lex_order_is_multiplicative():
         kappa = tuple(rng.randrange(4) for _ in range(n))
         shifted_nu = tuple(a + b for a, b in zip(nu, kappa))
         shifted_mu = tuple(a + b for a, b in zip(mu, kappa))
-        assert lex_compare(nu, mu) == lex_compare(shifted_nu, shifted_mu)
+        assert (nu < mu) == (shifted_nu < shifted_mu)
+        assert (nu == mu) == (shifted_nu == shifted_mu)
 
 
 def test_basic_arithmetic():
@@ -57,7 +50,7 @@ def test_basic_arithmetic():
     p = P("x1^2*x2 + 3*x1", 2)
     assert (p + (-p)).is_zero()
     assert_cancelled_to(p + P("x1 - 3*x1", 2), P("x1^2*x2 + x1", 2))
-    assert (x1 + x2) ** 2 == x1**2 + 2 * x1 * x2 + x2**2
+    assert (x1 + x2) * (x1 + x2) == x1 * x1 + 2 * x1 * x2 + x2 * x2
     with pytest.raises(ValueError):
         x1 + Polynomial.variable(3, 1)
 
@@ -166,7 +159,7 @@ def test_render_canonical_format():
 
 
 def test_render_cyclotomic_coefficients():
-    z2 = Cyclotomic.zeta(3) ** 2
+    z2 = Cyclotomic.zeta(3, 2)
     p = Polynomial(3, {(2, 0, 1): z2})
     assert render_polynomial(p) == "(-1-z)*x1^2*x3"
     assert parse_polynomial("(-1-z)*x1^2*x3", 3, order=3) == p

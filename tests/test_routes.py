@@ -4,14 +4,19 @@ The kernel oracle (``hilbert`` over ``linalg``) and the lattice-path basis
 (``paths``) must not reach the Groebner engine or each other through any
 chain of package imports, nor the engine reach them: only ``verify`` and the
 CLI compare the routes.  Imports are read from the source with ``ast``, so
-an import inside a function counts too."""
+an import inside a function counts too.
+
+The traced benchmark (``perfbench/tracing.py``) patches package functions
+by name; the last test checks that every name it patches still exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import quasicov
+from quasicov.scalars import Cyclotomic
 
 PACKAGE = Path(quasicov.__file__).parent
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
@@ -57,3 +62,26 @@ def test_groebner_does_not_reach_the_oracle_or_the_paths():
 def test_oracle_and_paths_do_not_reach_each_other():
     assert "paths" not in _reachable("hilbert")
     assert "hilbert" not in _reachable("paths")
+
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _wrapped():
+    """``WRAPPED`` from the tracer's source, read without importing it."""
+    for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no WRAPPED in {TRACING}")
+
+
+def test_the_tracer_hook_points_resolve():
+    wrapped = _wrapped()
+    assert wrapped
+    for module, attr, _ in wrapped:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    # ``Tracer.install`` also counts Cyclotomic construction and inversions.
+    assert "__init__" in vars(Cyclotomic)
+    assert "inverse" in vars(Cyclotomic)

@@ -91,11 +91,11 @@ def test_totient_values():
 
 def test_cube_root_arithmetic():
     z = Cyclotomic.zeta(3)
-    assert z * z == z**2
-    assert z * z**2 == Cyclotomic.one(3)  # z^3 = 1
+    assert z * z == Cyclotomic.zeta(3, 2)
+    assert z * z * z == Cyclotomic.one(3)  # z^3 = 1
     # canonical form of z^2 modulo z^2 + z + 1
-    assert z**2 == Cyclotomic(3, (-1, -1))
-    assert str(z**2) == "-1-z"
+    assert z * z == Cyclotomic(3, (-1, -1))
+    assert str(z * z) == "-1-z"
 
 
 def test_square_root_of_unity_is_minus_one():
@@ -150,7 +150,6 @@ def test_field_axioms(m):
         assert a * b == b * a
         if a:
             assert a * a.inverse() == one
-            assert a / a == one
 
 
 def test_inverse_of_zero_fails():
@@ -199,8 +198,8 @@ def test_mixed_scalar_arithmetic():
     assert 1 + z == z + 1
     assert 2 * z == z + z
     assert (1 - z) + (z - 1) == 0
-    assert z / 2 == z * Fraction(1, 2)
-    assert 1 / z == z.inverse()
+    assert z.inverse() == Cyclotomic.zeta(3, -1)
+    assert (2 * z).inverse() == Cyclotomic.zeta(3, 2) * Fraction(1, 2)
 
 
 # Every order up to 12 plus a few with larger phi.
@@ -256,6 +255,15 @@ def _cyclotomics(m):
     )
 
 
+def _power(a, k):
+    """a^k by repeated multiplication; a^-1 is ``a.inverse()``."""
+    base = a if k >= 0 else a.inverse()
+    out = Cyclotomic.one(a.order)
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
 def _assert_canonical(value):
     for c in value.coeffs:
         if type(c) is not int:
@@ -279,14 +287,14 @@ def test_coefficients_stay_canonical(m, data):
     k = data.draw(st.integers(-3, 3))
     values = [
         a + b, a - b, a * b, -a, a + r, r - a, a * r,
-        a ** (k if a else abs(k)),
+        _power(a, k if a else abs(k)),
         Cyclotomic.parse(m, str(a)),
         Cyclotomic.zeta(m, k),
         Cyclotomic.from_rational(m, r),
         Cyclotomic(m, [0] * m + list(a.coeffs)),
     ]
     if b:
-        values += [a / b, b.inverse(), r / b]
+        values += [a * b.inverse(), b.inverse(), r * b.inverse()]
     for v in values:
         _assert_canonical(v)
 
@@ -305,7 +313,7 @@ def test_equal_values_have_equal_coefficients_and_hashes(m, data):
         Cyclotomic.parse(m, str(a)),  # the text round trip
     ]
     if b:
-        routes.append((a * b) / b)
+        routes.append((a * b) * b.inverse())
     for v in routes:
         assert v == a
         assert v.coeffs == a.coeffs

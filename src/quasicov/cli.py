@@ -11,8 +11,9 @@ written, and stderr names the first failing check; usage and parse
 problems exit 2, resource-cap violations exit 3.
 
 Caps default to a group-enumeration limit of 10^4 elements and a limit
-of 10^6 that bounds both the rows times columns of each residue block of
-the kernel oracle and the generator images of each fixed-space walk; the
+of 10^6 that bounds the rows times columns of each residue block of the
+kernel oracle, the generator images of each fixed-space walk, the element
+pairs of the action-axioms suite and the vectors of the path basis; the
 environment variables QUASICOV_MAX_GROUP_ORDER and
 QUASICOV_MAX_KERNEL_ENTRIES override them.
 """
@@ -43,7 +44,7 @@ def _vector_text(nu) -> str:
 
 
 def cmd_basis(args):
-    vectors = quotient_basis(args.n, args.m)
+    vectors = quotient_basis(args.n, args.m, args.max_kernel_entries)
     target = args.m**args.n * catalan(args.n)
     result = {
         "count": len(vectors),
@@ -83,7 +84,7 @@ def cmd_dim(args):
             )
         dimension = len(sms.monomials)
     elif args.method == "basis":
-        dimension = len(quotient_basis(args.n, args.m))
+        dimension = len(quotient_basis(args.n, args.m, args.max_kernel_entries))
     else:  # harmonic
         dims = kernel_dims_until_zero(
             args.n, args.m, "quasi", max_entries=args.max_kernel_entries

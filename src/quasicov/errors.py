@@ -3,9 +3,9 @@
 # Default cap on the group elements that one call may enumerate.
 DEFAULT_MAX_GROUP_ORDER = 10_000
 
-# Default cap on the work of the two callers that build systems by degree:
-# the rows times columns of each residue block of the kernel oracle, and the
-# generator images walked for a fixed space.
+# Default cap on the work counted before a loop starts: the rows times columns
+# of each kernel-oracle residue block, the generator images of a fixed-space
+# walk, the action-axioms element pairs and the path-basis vectors.
 DEFAULT_MAX_MATRIX_ENTRIES = 1_000_000
 
 

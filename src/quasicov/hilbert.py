@@ -2,21 +2,25 @@
 
 Three routes to the graded dimensions are implemented: counting standard
 monomials by degree, the closed formulas, and an orthogonal-complement
-oracle that finds the homogeneous polynomials annihilated by every ideal
-generator acting as a differential operator.  The oracle never touches the
-Groebner engine: it pairs the generator multiples against the monomial
-basis, as sparse integer rows, and takes their exact rank over Q.
+oracle.  SC = I^perp under <X^nu, X^mu> = delta * nu!, so dim SC_d =
+dim Q[x]_d - dim I_d.  The oracle never touches the Groebner engine: it
+ranks the span of I_d, the generator multiples X^mu * g as sparse integer
+rows over the degree-d monomials, exactly over Q.  The pairing's nu! is
+left out: it would only scale columns, which changes no rank or pivot set.
 
 Every generator, M_alpha(x^m) or e_k(x^m), lies in Q[x^m], and Q[x] is
 free over Q[x^m] with basis {x^alpha : 0 <= alpha_i < m}.  A product
 x^mu * g keeps the residue mu mod m in every exponent, so the system of
 each degree is block-diagonal by residue: block (alpha, k) has the columns
-x^(alpha + m*beta) with |beta| = k, in degree |alpha| + m*k.  The oracle
-ranks every block on its own.  It walks each residue for k = 0, 1, ... and
-stops at the first zero kernel: a zero kernel at (alpha, k) puts every
-x^(alpha + m*beta) with |beta| = k in the ideal, and multiplying by each
-x_i^m puts every one with |beta| = k + 1 there too, so the later kernels of
-the block are zero.
+x^(alpha + m*beta) with |beta| = k, in degree |alpha| + m*k.  Dividing
+its rows and columns by x^alpha and putting y = x^m leaves the degree-k
+system of (n, 1), so every block (alpha, k) has the kernel dimension of
+the (n, 1) block at level k.  The oracle still ranks each block with its
+own lift and indexing, which checks the generator construction at m >= 2.
+It walks each residue for k = 0, 1, ... and stops at the first zero
+kernel: a zero kernel at (alpha, k) puts every x^(alpha + m*beta) with
+|beta| = k in the ideal, and multiplying by each x_i^m puts every one with
+|beta| = k + 1 there too, so the later kernels of the block are zero.
 
 The closed series uses the residue-expanded prefactor
 ((1 - t^m) / (1 - t))^n.  The single-prefactor variant (exponent 1) is also
@@ -32,7 +36,7 @@ from math import comb
 
 from .errors import DEFAULT_MAX_MATRIX_ENTRIES, ResourceLimitError
 from .linalg import kernel_dimension
-from .polynomials import exponent_factorial, exponent_vectors
+from .polynomials import exponent_vectors
 from .qsym import (
     compositions_of,
     count_compositions,
@@ -155,14 +159,13 @@ def _residues(n: int, m: int, s: int):
 
 
 def _block_kernel_dim(n, m, alpha, k, ideal, max_entries, generators) -> int:
-    """Kernel dimension of block (alpha, k).
+    """Kernel dimension of block (alpha, k): its column count minus the
+    rank of the span of I in that block.
 
     Its rows are the products X^mu * g with mu = alpha + m*beta', one for
-    each generator g of degree m*j and each |beta'| = k - j.  X^mu * g pairs
-    against P = sum c_nu X^nu through <X^nu, X^nu> = nu!, so its row is the
-    condition sum over nu of (coefficient of X^nu in X^mu * g) * nu! * c_nu
-    = 0, stored as {column of nu: that coefficient times nu!}.  The block's
-    size, rows times columns, is counted before anything is built.
+    each generator g of degree m*j and each |beta'| = k - j, each stored as
+    {column of nu: coefficient of X^nu in X^mu * g}.  The block's size,
+    rows times columns, is counted before anything is built.
     ``generators`` holds the generators built so far, by level j.
     """
     ncols = comb(n + k - 1, k)
@@ -180,19 +183,16 @@ def _block_kernel_dim(n, m, alpha, k, ideal, max_entries, generators) -> int:
     def lift(beta):
         return tuple([a + m * b for a, b in zip(alpha, beta)])
 
-    columns = [lift(beta) for beta in exponent_vectors(n, k)]
-    index = {nu: i for i, nu in enumerate(columns)}
-    weights = [exponent_factorial(nu) for nu in columns]
+    index = {lift(beta): i for i, beta in enumerate(exponent_vectors(n, k))}
     rows = []
     for j in range(1, k + 1):
         shifts = [lift(beta) for beta in exponent_vectors(n, k - j)]
         for terms in generators[j - 1]:
             for mu in shifts:
-                row = {}
-                for kappa, c in terms:
-                    i = index[tuple([a + b for a, b in zip(mu, kappa)])]
-                    row[i] = c * weights[i]
-                rows.append(row)
+                rows.append({
+                    index[tuple([a + b for a, b in zip(mu, kappa)])]: c
+                    for kappa, c in terms
+                })
     return kernel_dimension(rows, ncols)
 
 

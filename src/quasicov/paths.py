@@ -19,6 +19,7 @@ from __future__ import annotations
 from itertools import product
 from math import comb
 
+from .errors import DEFAULT_MAX_MATRIX_ENTRIES, ResourceLimitError
 from .polynomials import exponent_vectors
 
 
@@ -58,12 +59,19 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def quotient_basis(n: int, m: int) -> list:
+def quotient_basis(n: int, m: int, max_entries: int = DEFAULT_MAX_MATRIX_ENTRIES) -> list:
     """Exponent vectors m*eta + alpha with eta Dyck and 0 <= alpha_i < m,
     graded-lex ordered.  The map (eta, alpha) -> m*eta + alpha is injective
-    (alpha is recovered mod m), so the count is m^n * catalan(n)."""
+    (alpha is recovered mod m), so the count is m^n * catalan(n), which
+    ``max_entries`` caps before anything is enumerated."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
+    count = m**n * catalan(n)
+    if count > max_entries:
+        raise ResourceLimitError(
+            f"quotient basis for n={n}, m={m} has {count} vectors, "
+            f"exceeding cap of {max_entries}"
+        )
     vectors = []
     for eta in enumerate_dyck(n):
         for alpha in product(range(m), repeat=n):

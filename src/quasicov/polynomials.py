@@ -16,7 +16,6 @@ the former into the latter.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -250,13 +249,6 @@ def scalar_product(p: Polynomial, q: Polynomial):
     <X^nu, X^nu> = prod(nu_i!)."""
     result = apply_diff(p, q)
     return result.coefficient((0,) * p.nvars)
-
-
-def exponent_factorial(nu) -> int:
-    out = 1
-    for e in nu:
-        out *= math.factorial(e)
-    return out
 
 
 # ---- text form ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """Named verification suites with machine-readable pass/fail checks.
 
-Each suite returns a list of check dicts {"name", "expected", "actual",
+Each suite takes (n, m) and both resource caps, ignoring a cap it does
+not use, and returns a list of check dicts {"name", "expected", "actual",
 "pass"}; a suite passes when every check does.  All suites are
 deterministic: random sampling is done with a fixed seed.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 import random
 from math import factorial
 
-from .errors import DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MATRIX_ENTRIES
+from .errors import ResourceLimitError
 from .group import (
     _classical_image,
     _quasi_image,
@@ -35,9 +36,9 @@ from .paths import catalan, quotient_basis
 from .polynomials import render_polynomial
 from .qsym import count_compositions
 
-SUITES = ("propu", "ppp", "main", "hilbert", "chevalley", "action-axioms")
-
 ACTION_SEED = 20260808
+MIN_MONOMIALS = 100
+PROPU_MAX_DEGREE = 6
 
 # The differential-kernel oracle is the expensive route; it is exercised in
 # the verified regime only.
@@ -48,19 +49,19 @@ def _check(name, expected, actual):
     return {"name": name, "expected": expected, "actual": actual, "pass": expected == actual}
 
 
-def suite_propu(n, m, max_entries=DEFAULT_MAX_MATRIX_ENTRIES, max_degree=6):
+def suite_propu(n, m, *, max_group_order, max_kernel_entries):
     """Quasi-invariant dimensions by degree: the degree-d fixed space has one
     dimension per composition of d/m into at most n parts, none when m
     does not divide d."""
     checks = []
-    for d in range(max_degree + 1):
+    for d in range(PROPU_MAX_DEGREE + 1):
         expected = count_compositions(d // m, n) if d % m == 0 else 0
-        actual = fixed_space_dimension(n, m, d, "quasi", max_entries=max_entries)
+        actual = fixed_space_dimension(n, m, d, "quasi", max_entries=max_kernel_entries)
         checks.append(_check(f"quasi_fixed_space_dim_degree_{d}", expected, actual))
     return checks
 
 
-def suite_ppp(n, m):
+def suite_ppp(n, m, *, max_group_order, max_kernel_entries):
     """Power substitution commutes with reduced-basis extraction: the m = 1
     basis under x_i -> x_i^m equals Buchberger on the (n, m) generators."""
     substituted = substitute_basis_power(quasi_ideal_basis(n, 1), m)
@@ -74,12 +75,12 @@ def suite_ppp(n, m):
     ]
 
 
-def suite_main(n, m, max_kernel_entries=DEFAULT_MAX_MATRIX_ENTRIES):
+def suite_main(n, m, *, max_group_order, max_kernel_entries):
     """Quotient dimension m^n * catalan(n) by every available route."""
     target = m**n * catalan(n)
+    vectors = quotient_basis(n, m, max_entries=max_kernel_entries)
     basis = quasi_ideal_basis(n, m)
     sms = standard_monomials(basis, basis.degree_bound)
-    vectors = quotient_basis(n, m)
     checks = [
         _check("standard_monomials_complete", True, sms.complete),
         _check("groebner_route_dimension", target, len(sms.monomials)),
@@ -92,7 +93,7 @@ def suite_main(n, m, max_kernel_entries=DEFAULT_MAX_MATRIX_ENTRIES):
     return checks
 
 
-def suite_hilbert(n, m, max_kernel_entries=DEFAULT_MAX_MATRIX_ENTRIES):
+def suite_hilbert(n, m, *, max_group_order, max_kernel_entries):
     """Graded dimensions: standard monomials vs closed series vs kernel
     oracle, plus the flagged single-prefactor variant."""
     basis = quasi_ideal_basis(n, m)
@@ -133,7 +134,7 @@ def suite_hilbert(n, m, max_kernel_entries=DEFAULT_MAX_MATRIX_ENTRIES):
     return checks
 
 
-def suite_chevalley(n, m, max_kernel_entries=DEFAULT_MAX_MATRIX_ENTRIES):
+def suite_chevalley(n, m, *, max_group_order, max_kernel_entries):
     """The classical quotient has dimension m^n * n!."""
     target = m**n * factorial(n)
     basis = classical_ideal_basis(n, m)
@@ -148,16 +149,10 @@ def suite_chevalley(n, m, max_kernel_entries=DEFAULT_MAX_MATRIX_ENTRIES):
     return checks
 
 
-def suite_action_axioms(
-    n,
-    m,
-    max_group_order=DEFAULT_MAX_GROUP_ORDER,
-    seed=ACTION_SEED,
-    min_monomials=100,
-):
+def suite_action_axioms(n, m, *, max_group_order, max_kernel_entries):
     """(gh) acts as g after h, for both actions, over the whole group; the
-    weight is multiplicative; at least min_monomials distinct random
-    monomials are exercised.
+    weight is multiplicative; at least MIN_MONOMIALS distinct random
+    monomials are exercised.  The |G|^2 pairs count against the cap.
 
     Everything is checked in integers.  On a monomial either action gives
     one monomial times a power of zeta: ``quasi_act`` and ``classical_act``
@@ -170,11 +165,17 @@ def suite_action_axioms(
     weight zeta^(sum of weights) is multiplicative iff the weight sums add
     mod m.
     """
+    pairs = (m**n * factorial(n)) ** 2
+    if pairs > max_kernel_entries:
+        raise ResourceLimitError(
+            f"action axioms for n={n}, m={m} need {pairs} element pairs, "
+            f"exceeding cap of {max_kernel_entries}"
+        )
     elements = enumerate_group(n, m, max_order=max_group_order)
-    rng = random.Random(seed)
-    # exponent range wide enough that min_monomials distinct monomials exist
+    rng = random.Random(ACTION_SEED)
+    # exponent range wide enough that MIN_MONOMIALS distinct monomials exist
     upper = 5
-    while upper**n < 2 * min_monomials:
+    while upper**n < 2 * MIN_MONOMIALS:
         upper += 1
     quasi_failures = 0
     classical_failures = 0
@@ -201,33 +202,29 @@ def suite_action_axioms(
     for g in elements:
         for h in elements:
             run_trial(g, h)
-    while len(monomials_seen) < min_monomials:
+    while len(monomials_seen) < MIN_MONOMIALS:
         run_trial(rng.choice(elements), rng.choice(elements))
     return [
         _check("quasi_action_axiom_failures", 0, quasi_failures),
         _check("classical_action_axiom_failures", 0, classical_failures),
         _check("weight_multiplicativity_failures", 0, weight_failures),
-        _check("tested_at_least_min_monomials", True, len(monomials_seen) >= min_monomials),
+        _check("tested_at_least_min_monomials", True, len(monomials_seen) >= MIN_MONOMIALS),
     ]
 
 
-def run_suite(
-    name,
-    n,
-    m,
-    max_group_order=DEFAULT_MAX_GROUP_ORDER,
-    max_kernel_entries=DEFAULT_MAX_MATRIX_ENTRIES,
-):
-    if name == "propu":
-        return suite_propu(n, m, max_entries=max_kernel_entries)
-    if name == "ppp":
-        return suite_ppp(n, m)
-    if name == "main":
-        return suite_main(n, m, max_kernel_entries=max_kernel_entries)
-    if name == "hilbert":
-        return suite_hilbert(n, m, max_kernel_entries=max_kernel_entries)
-    if name == "chevalley":
-        return suite_chevalley(n, m, max_kernel_entries=max_kernel_entries)
-    if name == "action-axioms":
-        return suite_action_axioms(n, m, max_group_order=max_group_order)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+SUITES = {
+    "propu": suite_propu,
+    "ppp": suite_ppp,
+    "main": suite_main,
+    "hilbert": suite_hilbert,
+    "chevalley": suite_chevalley,
+    "action-axioms": suite_action_axioms,
+}
+
+
+def run_suite(name, n, m, *, max_group_order, max_kernel_entries):
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    return SUITES[name](
+        n, m, max_group_order=max_group_order, max_kernel_entries=max_kernel_entries
+    )

@@ -12,6 +12,7 @@ import sys
 import time
 from math import comb, factorial
 
+from quasicov.errors import DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MATRIX_ENTRIES
 from quasicov.group import (
     enumerate_group,
     fixed_space_dimension,
@@ -38,6 +39,7 @@ from quasicov.scalars import Cyclotomic
 from quasicov.verify import suite_action_axioms, suite_chevalley
 
 GRID = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
+CAPS = dict(max_group_order=DEFAULT_MAX_GROUP_ORDER, max_kernel_entries=DEFAULT_MAX_MATRIX_ENTRIES)
 
 
 def acceptance(label):
@@ -156,7 +158,7 @@ def test_criterion_8_classical_quotient_dimension():
         target = m**n * factorial(n)
         if (n, m) in expected_samples:
             assert target == expected_samples[(n, m)]
-        checks = suite_chevalley(n, m)
+        checks = suite_chevalley(n, m, **CAPS)
         assert all(c["pass"] for c in checks), (n, m, checks)
 
 
@@ -165,7 +167,7 @@ def test_criterion_9_action_axioms_and_determinism():
     for n, m in GRID:
         order = m**n * factorial(n)
         assert len(enumerate_group(n, m)) == order
-        checks = suite_action_axioms(n, m)
+        checks = suite_action_axioms(n, m, **CAPS)
         assert all(c["pass"] for c in checks), (n, m, checks)
         # >= 100 distinct random monomials were exercised per group
         assert checks[-1]["name"] == "tested_at_least_min_monomials"

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from quasicov.cli import _json_text, main
 from quasicov.polynomials import Polynomial, render_polynomial
 from quasicov.scalars import Cyclotomic, euler_phi
-from quasicov.verify import SUITES
+from quasicov.verify import SUITES, run_suite
 
 
 def run_cli(argv, capsys):
@@ -282,6 +282,54 @@ def test_unknown_suite_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense", "--n", "2", "--m", "2"])
     assert exc.value.code == 2
+    with pytest.raises(ValueError) as exc:
+        run_suite("nonsense", 2, 2, max_group_order=1, max_kernel_entries=1)
+    assert str(exc.value) == (
+        "unknown suite 'nonsense'; choose from "
+        "propu, ppp, main, hilbert, chevalley, action-axioms"
+    )
+
+
+def test_action_axioms_pairs_are_capped(capsys, monkeypatch):
+    """|G|^2 is counted against the cap before the group is enumerated:
+    (4,3) has 1944^2 pairs, and (2,2) has 8^2 = 64."""
+    code, out, err = run_cli(
+        ["verify", "--suite", "action-axioms", "--n", "4", "--m", "3", "--json"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource limit: action axioms for n=4, m=3 need 3779136 element pairs, "
+        "exceeding cap of 1000000\n"
+    )
+    argv = ["verify", "--suite", "action-axioms", "--n", "2", "--m", "2"]
+    monkeypatch.setenv("QUASICOV_MAX_KERNEL_ENTRIES", "63")
+    assert run_cli(argv, capsys)[0] == 3
+    monkeypatch.setenv("QUASICOV_MAX_KERNEL_ENTRIES", "64")
+    assert run_cli(argv, capsys)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv", [["basis"], ["dim", "--method", "basis"], ["verify", "--suite", "main"]]
+)
+def test_path_basis_is_capped(argv, capsys):
+    """m^n * catalan(n) = 5^14 * 2674440 vectors at (14,5) is counted
+    against the cap before anything is enumerated."""
+    code, out, err = run_cli(argv + ["--n", "14", "--m", "5", "--json"], capsys)
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource limit: quotient basis for n=14, m=5 has 16323486328125000 vectors, "
+        "exceeding cap of 1000000\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [["basis"], ["dim", "--method", "basis"]])
+def test_path_basis_cap_is_the_vector_count(argv, capsys, monkeypatch):
+    """(2,2) has 2^2 * catalan(2) = 8 vectors."""
+    argv = argv + ["--n", "2", "--m", "2"]
+    monkeypatch.setenv("QUASICOV_MAX_KERNEL_ENTRIES", "7")
+    assert run_cli(argv, capsys)[0] == 3
+    monkeypatch.setenv("QUASICOV_MAX_KERNEL_ENTRIES", "8")
+    assert run_cli(argv, capsys)[0] == 0
 
 
 def test_bad_polynomial_is_a_usage_error(capsys):
@@ -518,7 +566,7 @@ def run_argv(draw):
     """`basis`, `dim`, `series`, `groebner` and `verify` command lines with
     small or invalid n, m and --degree-bound, and each choice option drawn
     from its choices plus one invalid string.  n stays at most 4 because
-    larger n reaches work that no cap bounds yet (``basis --n 14 --m 5``)."""
+    larger n reaches work that no cap bounds yet (the Groebner engine)."""
     command = draw(st.sampled_from(["basis", "dim", "series", "groebner", "verify"]))
     argv = [command, "--n", str(draw(st.integers(-1, 4))), "--m", str(draw(st.integers(-1, 3)))]
     if command in ("dim", "series", "groebner"):

@@ -10,7 +10,7 @@ from test_linalg import dense_rank
 
 from quasicov import group, verify
 from quasicov.cli import main
-from quasicov.errors import ResourceLimitError
+from quasicov.errors import DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MATRIX_ENTRIES, ResourceLimitError
 from quasicov.group import (
     GroupElement,
     _classical_image,
@@ -40,6 +40,7 @@ from quasicov.qsym import compositions_of, elementary_symmetric_power, monomial_
 from quasicov.scalars import Cyclotomic, cyclotomic_polynomial, euler_phi
 
 EXAMPLE_ELEMENT = "tau=3,1,2;weights=1,0,1"
+CAPS = dict(max_group_order=DEFAULT_MAX_GROUP_ORDER, max_kernel_entries=DEFAULT_MAX_MATRIX_ENTRIES)
 
 
 def test_element_validation():
@@ -281,7 +282,7 @@ def _failure_counts(checks):
 
 def test_action_axioms_suite_catches_a_wrong_composition(monkeypatch):
     monkeypatch.setattr(verify, "group_mul", lambda g, h: group_mul(h, g))
-    counts = _failure_counts(verify.suite_action_axioms(3, 2))
+    counts = _failure_counts(verify.suite_action_axioms(3, 2, **CAPS))
     assert counts["quasi_action_axiom_failures"] > 0
     assert counts["classical_action_axiom_failures"] > 0
     # the weight sum does not see the order of the factors
@@ -295,7 +296,7 @@ def test_action_axioms_suite_catches_a_wrong_weight(monkeypatch):
         return GroupElement(gh.n, gh.m, gh.tau, weights)
 
     monkeypatch.setattr(verify, "group_mul", shifted)
-    counts = _failure_counts(verify.suite_action_axioms(3, 2))
+    counts = _failure_counts(verify.suite_action_axioms(3, 2, **CAPS))
     assert counts["weight_multiplicativity_failures"] > 0
 
 

@@ -13,7 +13,6 @@ from .polynomials import (
     apply_diff,
     exponent_vectors,
     parse_polynomial,
-    promote_to_cyclotomic,
     render_polynomial,
     scalar_product,
 )

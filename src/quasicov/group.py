@@ -13,9 +13,9 @@ so that act(group_mul(g, h), p) == act(g, act(h, p)) for both actions.
 
 Either action sends a monomial to one monomial times a power of zeta, so
 the image of a monomial is computed in integers as (exponent vector,
-phase mod m); ``Cyclotomic`` coefficients appear only when an action is
-extended linearly to a polynomial, where each term's coefficient is
-multiplied by zeta^phase as a shift of its power-basis coefficients.
+phase mod m).  Extended linearly to a polynomial, each term's coefficient
+is multiplied by zeta^phase: a ``Cyclotomic`` one as a shift of its
+power-basis coefficients, a rational c as c * zeta^phase if phase != 0.
 Fixed spaces are counted on the same integer images, orbit by orbit, with
 no linear algebra.
 """
@@ -27,7 +27,8 @@ from itertools import permutations, product
 from math import comb, factorial
 
 from .errors import DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MATRIX_ENTRIES, ResourceLimitError
-from .polynomials import Polynomial, exponent_vectors, promote_to_cyclotomic
+from .polynomials import Polynomial, exponent_vectors
+from .scalars import Cyclotomic
 
 
 class GroupElement(namedtuple("GroupElement", "n m tau weights")):
@@ -159,9 +160,14 @@ def _extend_linearly(image, g: GroupElement, p: Polynomial) -> Polynomial:
     if p.nvars != g.n:
         raise ValueError(f"polynomial has {p.nvars} variables, element acts on {g.n}")
     acc: dict = {}
-    for nu, coeff in promote_to_cyclotomic(p, g.m).terms.items():
+    for nu, coeff in p.terms.items():
         mu, phase = image(g, nu)
-        v = coeff.times_zeta(phase)
+        if not isinstance(coeff, Cyclotomic):
+            v = Cyclotomic(g.m, (0,) * phase + (coeff,)) if phase else coeff
+        elif coeff.order == g.m:
+            v = coeff.times_zeta(phase)
+        else:
+            raise ValueError(f"cannot act by order {g.m} on order-{coeff.order} coefficients")
         acc[mu] = acc[mu] + v if mu in acc else v
     return Polynomial(g.n, acc)
 
@@ -187,8 +193,7 @@ def is_quasi_invariant(p: Polynomial, n: int, m: int) -> bool:
     """True iff every group generator fixes p under the quasi action."""
     if p.nvars != n:
         raise ValueError(f"polynomial has {p.nvars} variables, expected {n}")
-    promoted = promote_to_cyclotomic(p, m)
-    return all(quasi_act(g, promoted) == promoted for g in generators(n, m))
+    return all(quasi_act(g, p) == p for g in generators(n, m))
 
 
 def fixed_space_dimension(

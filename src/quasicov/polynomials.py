@@ -9,9 +9,10 @@ accumulate terms without watching for cancellation, and the zero polynomial
 has an empty term dict.
 Polynomials are immutable values: every operation returns a new object.
 
-Coefficients are either ``Fraction`` (ideal and Groebner computations) or
-``Cyclotomic`` (group-action computations); ``promote_to_cyclotomic`` embeds
-the former into the latter.
+Each coefficient is stored in the smallest field that holds it: a rational
+value is a ``Fraction``, also when it arrives as an ``int`` or a rational
+``Cyclotomic``, and a ``Cyclotomic`` is kept only for an irrational value.
+So each value has one form, and equality of polynomials is structural.
 """
 
 from __future__ import annotations
@@ -51,8 +52,11 @@ def degree_histogram(vectors) -> list:
 
 
 def _coerce_scalar(c):
-    if isinstance(c, (Fraction, Cyclotomic)):
+    """c in the smallest field that holds it (module docstring)."""
+    if isinstance(c, Fraction):
         return c
+    if isinstance(c, Cyclotomic):
+        return Fraction(c.coeffs[0]) if c.is_rational() else c
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
@@ -203,29 +207,6 @@ class Polynomial:
         return render_polynomial(self)
 
 
-def promote_to_cyclotomic(p: Polynomial, order: int) -> Polynomial:
-    """Embed rational coefficients into Q(zeta_order).
-
-    A polynomial whose coefficients all lie in Q(zeta_order) already is
-    returned as it is: polynomials are immutable, so sharing it is safe.
-    """
-    if all(
-        isinstance(c, Cyclotomic) and c.order == order for c in p.terms.values()
-    ):
-        return p
-    terms = {}
-    for exps, coeff in p.terms.items():
-        if isinstance(coeff, Cyclotomic):
-            if coeff.order != order:
-                raise ValueError(
-                    f"cannot promote order-{coeff.order} coefficients to order {order}"
-                )
-            terms[exps] = coeff
-        else:
-            terms[exps] = Cyclotomic.from_rational(order, coeff)
-    return Polynomial(p.nvars, terms)
-
-
 def apply_diff(p: Polynomial, q: Polynomial) -> Polynomial:
     """p applied as a constant-coefficient differential operator to q."""
     p._check_compatible(q)
@@ -269,15 +250,12 @@ def render_polynomial(p: Polynomial) -> str:
     rendered = []
     for exps, coeff in p.sorted_terms():
         mon = _monomial_text(exps)
-        value = coeff
         if isinstance(coeff, Cyclotomic):
-            if not coeff.is_rational():
-                body = f"({coeff})*{mon}" if mon else f"({coeff})"
-                rendered.append((False, body))
-                continue
-            value = coeff.rational_value()
-        negative = (value if type(value) is int else value.numerator) < 0
-        mag = -value if negative else value
+            body = f"({coeff})*{mon}" if mon else f"({coeff})"
+            rendered.append((False, body))
+            continue
+        negative = coeff.numerator < 0
+        mag = -coeff if negative else coeff
         if not mon:
             body = str(mag)
         elif mag == 1:
@@ -300,8 +278,8 @@ _RATIONAL = re.compile(r"^-?\d+(?:/\d*[1-9]\d*)?$")
 def parse_polynomial(text: str, nvars: int, order: int | None = None) -> Polynomial:
     """Parse the grammar produced by ``render_polynomial``.
 
-    With ``order`` set, coefficients live in Q(zeta_order): parenthesized
-    cyclotomic literals are accepted and bare rationals are promoted.
+    With ``order`` set, parenthesized literals in Q(zeta_order) are
+    accepted; each coefficient is stored as ``Polynomial`` stores it.
     """
     s = text.strip()
     if s in ("", "0"):
@@ -346,8 +324,6 @@ def parse_polynomial(text: str, nvars: int, order: int | None = None) -> Polynom
             coeff = 1
         if negate:
             coeff = -coeff
-        if order is not None and not isinstance(coeff, Cyclotomic):
-            coeff = Cyclotomic.from_rational(order, coeff)
         key = tuple(exps)
         acc[key] = acc[key] + coeff if key in acc else coeff
     return Polynomial(nvars, acc)

@@ -190,11 +190,6 @@ class Cyclotomic:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def rational_value(self) -> int | Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
-
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
             if other.order != self.order:

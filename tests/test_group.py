@@ -33,7 +33,6 @@ from quasicov.polynomials import (
     Polynomial,
     exponent_vectors,
     parse_polynomial,
-    promote_to_cyclotomic,
     render_polynomial,
 )
 from quasicov.qsym import compositions_of, elementary_symmetric_power, monomial_qsym
@@ -154,11 +153,11 @@ def test_classical_action_examples():
     j = Cyclotomic.zeta(3)
     assert classical_act(g, p) == Polynomial(3, {(1, 0, 2): j * j})
     e = identity(3, 3)
-    assert classical_act(e, p) == promote_to_cyclotomic(p, 3)
+    assert classical_act(e, p) == p
     # x2 is untouched by a diagonal entry at position 1
     g1 = diagonal_generator(2, 2)
     x2 = parse_polynomial("x2", 2)
-    assert classical_act(g1, x2) == promote_to_cyclotomic(x2, 2)
+    assert classical_act(g1, x2) == x2
 
 
 def test_quasi_action_worked_example():
@@ -172,26 +171,35 @@ def test_quasi_action_weight_rules():
     g1 = diagonal_generator(2, 2)
     # all exponents divisible by m: no weight factor
     p = parse_polynomial("x1^2", 2)
-    assert quasi_act(g1, p) == promote_to_cyclotomic(p, 2)
+    assert quasi_act(g1, p) == p
     # the global weight applies even though x1 is absent from the support
     x2 = parse_polynomial("x2", 2)
     assert quasi_act(g1, x2) == Polynomial(2, {(0, 1): Cyclotomic.from_rational(2, -1)})
 
 
+def test_actions_reject_coefficients_of_another_order():
+    q = parse_polynomial("(1-z)*x1 + 3*x2", 2, order=4)
+    for act in (quasi_act, classical_act):
+        with pytest.raises(ValueError):
+            act(diagonal_generator(2, 3), q)
+        assert act(identity(2, 4), q) == q
+    # A rational value is a Fraction, whatever order it was written in.
+    p = Polynomial(2, {(0, 1): Cyclotomic.from_rational(4, 3)})
+    assert quasi_act(diagonal_generator(2, 3), p) == Polynomial(2, {(0, 1): 3 * Cyclotomic.zeta(3)})
+
+
 def test_quasi_action_moves_support_and_resorts():
     s1 = transposition(2, 1, 1)
-    assert quasi_act(s1, parse_polynomial("x1", 2)) == promote_to_cyclotomic(
-        parse_polynomial("x2", 2), 1
-    )
+    assert quasi_act(s1, parse_polynomial("x1", 2)) == parse_polynomial("x2", 2)
     # support {1,2} maps to {2,1}, sorted back: exponents reattach in order
     p = parse_polynomial("x1^2*x2", 2)
-    assert quasi_act(s1, p) == promote_to_cyclotomic(p, 1)
+    assert quasi_act(s1, p) == p
 
 
 def test_constants_are_fixed():
     c = Polynomial.constant(3, Fraction(5, 3))
     for g in enumerate_group(3, 2):
-        assert quasi_act(g, c) == promote_to_cyclotomic(c, 2)
+        assert quasi_act(g, c) == c
 
 
 def test_is_quasi_invariant_examples():
@@ -224,7 +232,7 @@ def test_averaging_annihilates_off_lattice_monomials(n, m):
         gj = diagonal_generator(n, m, j)
         for _ in range(10):
             nu = tuple(rng.randrange(2 * m) for _ in range(n))
-            p = promote_to_cyclotomic(Polynomial.monomial(nu, 1), m)
+            p = Polynomial.monomial(nu, 1)
             total = Polynomial.zero(n)
             g = identity(n, m)
             for _ in range(m):
@@ -390,7 +398,7 @@ def _reference_extend(image, g, p):
     """The action extended term by term with general products: each image
     coefficient is coeff * zeta^phase, reduced modulo Phi_m."""
     acc = {}
-    for nu, coeff in promote_to_cyclotomic(p, g.m).terms.items():
+    for nu, coeff in p.terms.items():
         mu, phase = image(g, nu)
         acc[mu] = acc.get(mu, 0) + coeff * Cyclotomic.zeta(g.m, phase)
     return Polynomial(g.n, acc)
@@ -454,7 +462,7 @@ def test_action_axioms_beyond_the_enumeration_cap(act, n, m):
             terms[nu] = Cyclotomic(m, coeffs)
         for p in (Polynomial(n, terms), Polynomial(n, {nu: 1 for nu in terms})):
             assert act(group_mul(g, h), p) == act(g, act(h, p))
-            assert act(inverse(g), act(g, p)) == promote_to_cyclotomic(p, m)
+            assert act(inverse(g), act(g, p)) == p
 
 
 # ---- act text against an all-Fraction reference ------------------------------
@@ -486,11 +494,12 @@ def _fraction_text(cs) -> str:
 
 def _reference_act_text(image, g, p) -> str:
     """The action's text, from coefficients kept as Fractions throughout;
-    p has Cyclotomic coefficients."""
+    a rational coefficient c of p enters as the power-basis list (c,)."""
     acc = {}
     for nu, coeff in p.terms.items():
         mu, phase = image(g, nu)
-        v = _times_zeta_power(coeff.coeffs, g.m, phase)
+        coeffs = (coeff,) if isinstance(coeff, Fraction) else coeff.coeffs
+        v = _times_zeta_power(coeffs, g.m, phase)
         acc[mu] = [x + y for x, y in zip(acc[mu], v)] if mu in acc else v
     rendered = []
     for mu in sorted(acc, reverse=True):

@@ -12,7 +12,6 @@ from quasicov.polynomials import (
     apply_diff,
     exponent_vectors,
     parse_polynomial,
-    promote_to_cyclotomic,
     render_polynomial,
     scalar_product,
 )
@@ -250,31 +249,66 @@ def test_parse_sums_repeated_monomials():
     assert_cancelled_to(parse_polynomial("3*x2^2 - x2^2 - 2*x2^2", 2), Polynomial.zero(2))
 
 
+def _in_smallest_field(p):
+    """Every stored coefficient is a Fraction or an irrational Cyclotomic."""
+    return all(
+        type(c) is Fraction or (type(c) is Cyclotomic and not c.is_rational())
+        for c in p.terms.values()
+    )
+
+
 def test_promotion():
+    """Arithmetic with a Cyclotomic lifts rational coefficients into
+    Q(zeta); a rational result falls back to a Fraction."""
     p = P("x1 - x2", 2)
-    q = promote_to_cyclotomic(p, 4)
-    assert all(isinstance(c, Cyclotomic) for c in q.terms.values())
-    assert q == p  # same values, embedded
+    q = p * Cyclotomic.zeta(4)
+    assert all(type(c) is Cyclotomic and c.order == 4 for c in q.terms.values())
+    assert q * Cyclotomic.zeta(4) == -p
+    assert all(type(c) is Fraction for c in (q * Cyclotomic.zeta(4)).terms.values())
+    assert Cyclotomic.from_rational(4, 2) * p == p * 2 == P("2*x1 - 2*x2", 2)
     with pytest.raises(ValueError):
-        promote_to_cyclotomic(q, 3)
-
-
-def test_promotion_returns_a_polynomial_already_over_the_field():
-    q = P("(1-z)*x1 + 3*x2", 2, order=4)
-    assert promote_to_cyclotomic(q, 4) is q
-    with pytest.raises(ValueError):
-        promote_to_cyclotomic(q, 3)
-    assert promote_to_cyclotomic(Polynomial.zero(2), 4) == Polynomial.zero(2)
+        q * Cyclotomic.zeta(3)
+    # A literal that is rational parses to a Fraction, whatever its order.
+    r = P("(2)*x1 + (1-z+z)*x2", 2, order=5)
+    assert r == P("2*x1 + x2", 2) and _in_smallest_field(r)
 
 
 def test_promotion_of_mixed_coefficients():
     zeta = Cyclotomic.zeta(4)
-    p = Polynomial(2, {(1, 0): Fraction(3, 2), (0, 1): zeta, (0, 0): -2})
-    q = promote_to_cyclotomic(p, 4)
-    assert q is not p and q == p
-    assert q.terms[(0, 1)] is zeta
-    assert q.terms[(1, 0)] == Cyclotomic.from_rational(4, Fraction(3, 2))
-    assert all(isinstance(c, Cyclotomic) and c.order == 4 for c in q.terms.values())
-    assert render_polynomial(q) == "3/2*x1 + (z)*x2 - 2"
-    with pytest.raises(ValueError):
-        promote_to_cyclotomic(p, 3)
+    three_halves = Cyclotomic.from_rational(4, Fraction(3, 2))
+    p = Polynomial(2, {(1, 0): three_halves, (0, 1): zeta, (0, 0): -2})
+    assert type(p.terms[(1, 0)]) is Fraction and p.terms[(1, 0)] == Fraction(3, 2)
+    assert type(p.terms[(0, 0)]) is Fraction
+    assert p.terms[(0, 1)] is zeta
+    assert render_polynomial(p) == "3/2*x1 + (z)*x2 - 2"
+    assert p == Polynomial(2, {(1, 0): Fraction(3, 2), (0, 1): zeta, (0, 0): -2})
+    # zeta * zeta = -1 in Q(zeta_4): the product's x2 coefficient is rational.
+    q = p * zeta
+    assert q.terms[(0, 1)] == Fraction(-1) and type(q.terms[(0, 1)]) is Fraction
+    assert render_polynomial(q) == "(3/2z)*x1 - x2 + (-2z)"
+    assert _in_smallest_field(p) and _in_smallest_field(q)
+
+
+@st.composite
+def mixed_polynomials(draw):
+    """(p, q, order): polynomials built from ints, Fractions and Cyclotomic
+    values of one order, some of them rational and some past phi long."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 12]))
+    rational = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    cyclotomic = st.lists(rational, max_size=euler_phi(order) + 1).map(
+        lambda cs: Cyclotomic(order, cs)
+    )
+    coeff = st.integers(-3, 3) | rational | cyclotomic
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    p, q = (Polynomial(n, draw(st.dictionaries(exps, coeff, max_size=5))) for _ in "pq")
+    return p, q, order
+
+
+@settings(max_examples=150)
+@given(mixed_polynomials())
+def test_built_polynomials_store_each_coefficient_in_the_smallest_field(case):
+    p, q, order = case
+    for built in (p, q, p + q, p - q, -p, p * q, p * Cyclotomic.zeta(order)):
+        assert _in_smallest_field(built)
+        assert parse_polynomial(render_polynomial(built), p.nvars, order=order) == built

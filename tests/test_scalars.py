@@ -167,7 +167,7 @@ def test_order_mismatch_is_rejected():
 def test_rational_embedding_and_comparison():
     half = Cyclotomic.from_rational(6, Fraction(1, 2))
     assert half.is_rational()
-    assert half.rational_value() == Fraction(1, 2)
+    assert half.coeffs[0] == Fraction(1, 2)
     assert half == Fraction(1, 2)
     assert hash(half) == hash(Fraction(1, 2))
     assert Cyclotomic.zeta(5) != Fraction(1)
@@ -273,7 +273,7 @@ def _assert_canonical(value):
 def test_integral_coefficients_are_ints():
     a = Cyclotomic(3, [Fraction(4, 2), Fraction(1, 2)])
     assert a.coeffs == (2, Fraction(1, 2)) and type(a.coeffs[0]) is int
-    assert type(Cyclotomic.from_rational(5, Fraction(6, 3)).rational_value()) is int
+    assert type(Cyclotomic.from_rational(5, Fraction(6, 3)).coeffs[0]) is int
     assert type((a + Cyclotomic(3, [0, Fraction(1, 2)])).coeffs[1]) is int
 
 

@@ -2,13 +2,15 @@
 
 Each subcommand registers its runner with its parser; a runner reads its
 options from the parsed arguments and returns (result, checks).  ``main``
-validates n, m, --degree-bound and the caps once, then builds the
-deterministic document with fixed key order
-{"n", "m", "command", "result", "checks"}; with --json the document is
-printed as JSON, otherwise as readable text.  The exit code is 0 exactly
-when every check passes.  A failed check exits 1, after the document is
-written, and stderr names the first failing check; usage and parse
-problems exit 2, resource-cap violations exit 3.
+validates n, m and the caps once, then builds the deterministic document
+with fixed key order {"n", "m", "command", "result", "checks"}; with
+--json the document is printed as JSON, otherwise as readable text.  The
+exit code is 0 exactly when every check passes.  A failed check exits 1,
+after the document is written, and stderr names the first failing check;
+usage and parse problems exit 2, resource-cap violations exit 3.
+
+Only ``groebner`` takes --degree-bound, the one place a bound changes a
+result; ``dim`` and ``series`` use the default and refuse the flag.
 
 Caps default to a group-enumeration limit of 10^4 elements and a limit
 of 10^6 that bounds the rows times columns of each residue block of the
@@ -55,8 +57,12 @@ def cmd_basis(args):
 
 
 def cmd_groebner(args):
+    """A bound below the default, one past the quotient's top degree,
+    truncates the standard monomials; a higher one finds the same ones."""
+    if args.degree_bound is not None and args.degree_bound < 0:
+        raise ValueError(f"--degree-bound must be >= 0, got {args.degree_bound}")
     basis = quasi_ideal_basis(args.n, args.m, args.degree_bound)
-    sms = standard_monomials(basis, basis.degree_bound)
+    sms = standard_monomials(basis)
     result = {
         "degree_bound": basis.degree_bound,
         "reduced": basis.reduced,
@@ -75,14 +81,7 @@ def cmd_groebner(args):
 def cmd_dim(args):
     target = args.m**args.n * catalan(args.n)
     if args.method == "groebner":
-        basis = quasi_ideal_basis(args.n, args.m, args.degree_bound)
-        sms = standard_monomials(basis, basis.degree_bound)
-        if not sms.complete:
-            raise ValueError(
-                f"standard monomials not complete at bound {basis.degree_bound}; "
-                "raise --degree-bound"
-            )
-        dimension = len(sms.monomials)
+        dimension = len(standard_monomials(quasi_ideal_basis(args.n, args.m)).monomials)
     elif args.method == "basis":
         dimension = len(quotient_basis(args.n, args.m, args.max_kernel_entries))
     else:  # harmonic
@@ -121,9 +120,7 @@ def cmd_verify(args):
 
 
 def cmd_series(args):
-    basis = quasi_ideal_basis(args.n, args.m, args.degree_bound)
-    sms = standard_monomials(basis, basis.degree_bound)
-    series = series_from_monomials(sms)
+    series = series_from_monomials(standard_monomials(quasi_ideal_basis(args.n, args.m)))
     closed = quotient_series(args.n, args.m)
     literal = single_prefactor_series(args.n, args.m)
     result = {
@@ -237,33 +234,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(name, run, help, bound=False):
+    def common(name, run, help):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run, degree_bound=None)
+        p.set_defaults(run=run)
         p.add_argument("--n", type=int, required=True, help="number of variables")
         p.add_argument("--m", type=int, required=True, help="cyclic order")
-        if bound:
-            p.add_argument("--degree-bound", type=int)
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--out", default=None, help="write output to a file")
         return p
 
     common("basis", cmd_basis, "quotient basis from lattice-path combinatorics")
-    common("groebner", cmd_groebner, "reduced basis and standard monomials", bound=True)
-    p = common("dim", cmd_dim, "quotient dimension by a chosen route", bound=True)
+    p = common("groebner", cmd_groebner, "reduced basis and standard monomials")
+    p.add_argument("--degree-bound", type=int)
+    p = common("dim", cmd_dim, "quotient dimension by a chosen route")
     p.add_argument("--method", choices=("groebner", "basis", "harmonic"), required=True)
     p = common("act", cmd_act, "apply a group element to a polynomial")
     p.add_argument("--element", required=True, help='e.g. "tau=3,1,2;weights=1,0,1"')
     p.add_argument("--poly", required=True, help='e.g. "x1^2*x2"')
     p.add_argument("--action", choices=("quasi", "classical"), default="quasi")
-    common("series", cmd_series, "Hilbert series of the quotient", bound=True)
+    common("series", cmd_series, "Hilbert series of the quotient")
     p = common("verify", cmd_verify, "run a named verification suite")
     p.add_argument("--suite", choices=SUITES, required=True)
     return parser
 
 
 def _check_args(args) -> None:
-    """Validate n, m and --degree-bound, and store the caps on ``args``."""
+    """Validate n and m, and store the caps on ``args``."""
     if args.n < 1 or args.m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={args.n}, m={args.m}")
     args.max_group_order = int(
@@ -274,8 +270,6 @@ def _check_args(args) -> None:
     )
     if args.max_group_order < 1 or args.max_kernel_entries < 1:
         raise ValueError("resource caps must be positive")
-    if args.degree_bound is not None and args.degree_bound < 0:
-        raise ValueError(f"--degree-bound must be >= 0, got {args.degree_bound}")
 
 
 def main(argv=None) -> int:

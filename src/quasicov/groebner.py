@@ -21,7 +21,8 @@ that map, and:
 - At m = 1 the default bound is n and the quotient's top degree is n - 1,
   so the leading monomials of degree at most n divide every monomial of
   degree n, hence every monomial of higher degree: the truncated reduced
-  basis is the full reduced basis.
+  basis is the full reduced basis.  So a larger bound at m = 1 takes the
+  substitution too, with x -> x^1: the same elements, the bound relabelled.
 - x -> x^m multiplies exponents by m, which keeps lex order, so it maps
   leading monomials to leading monomials and keeps divisibility between
   them and the other terms.  Q[x] is free over Q[x^m] on the monomials
@@ -153,27 +154,20 @@ class StandardMonomialSet(
         return degree_histogram(self.monomials)
 
 
-def normal_form(p: Polynomial, basis) -> Polynomial:
+def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
     """Remainder of p under multivariate division by the basis elements.
 
     No monomial of the result is divisible by any basis leading monomial,
     and p minus the result lies in the ideal the basis generates.  Each
     step reduces the largest remaining monomial by the first divisor, in
-    list order, whose leading monomial divides it.  ``basis`` is a
-    ``GroebnerBasis`` or a sequence of homogeneous rational polynomials.
-    A basis from ``buchberger`` divides in the order its elements were
-    found, not in generator order; the remainder through its bound is the
-    same, since it is unique for a Groebner basis.
+    list order, whose leading monomial divides it.  A basis from
+    ``buchberger`` divides in the order its elements were found, not in
+    generator order; the remainder through its bound is the same, since it
+    is unique for a Groebner basis.
     """
-    if isinstance(basis, GroebnerBasis):
-        if p.terms and p.degree() > basis.degree_bound:
-            raise ValueError(
-                f"degree {p.degree()} exceeds basis bound {basis.degree_bound}"
-            )
-        divisors = basis._divisors
-    else:
-        divisors = _Divisors(p.nvars, basis, p.degree() if p.terms else 0)
-    return divisors.normal_form(p)
+    if p.terms and p.degree() > basis.degree_bound:
+        raise ValueError(f"degree {p.degree()} exceeds basis bound {basis.degree_bound}")
+    return basis._divisors.normal_form(p)
 
 
 class _Divisors:
@@ -461,9 +455,9 @@ def verify_buchberger_criterion(basis: GroebnerBasis) -> bool:
     return True
 
 
-def standard_monomials(basis: GroebnerBasis, through_degree: int) -> StandardMonomialSet:
-    """Monomials of degree <= through_degree divisible by no basis leading
-    monomial, in (degree, lex) order.
+def standard_monomials(basis: GroebnerBasis) -> StandardMonomialSet:
+    """Monomials of degree at most the basis's bound divisible by no basis
+    leading monomial, in (degree, lex) order.
 
     They form an order ideal, grown here degree by degree.  A monomial c is
     standard iff it is not itself a leading monomial and every lower
@@ -479,25 +473,22 @@ def standard_monomials(basis: GroebnerBasis, through_degree: int) -> StandardMon
     The search runs on monomials packed into ints in the layout of
     ``_Divisors(nvars, (), degree_bound)``, as ``buchberger`` packs them
     (module docstring), so int order is lex order and adding e_i is adding
-    one int.  Exponents never exceed through_degree, and leading monomials
-    above that degree cannot match, so no field overflows.
+    one int.  Exponents never exceed the bound, and leading monomials above
+    it cannot match, so leaving them out keeps a hand-built basis from
+    overflowing a field.
 
     The set is complete when the top degree contributes nothing: an empty
     degree stays empty above, so the search may stop at the first one.
     """
-    if through_degree > basis.degree_bound:
-        raise ValueError(
-            f"through_degree {through_degree} exceeds basis bound {basis.degree_bound}"
-        )
-    n = basis.nvars
-    codec = _Divisors(n, (), basis.degree_bound)
+    n, bound = basis.nvars, basis.degree_bound
+    codec = _Divisors(n, (), bound)
     shifts = codec.shifts
     units = [1 << shift for shift in shifts]
-    lms = {codec._key(lm) for lm in basis.leading_monomials() if sum(lm) <= through_degree}
+    lms = {codec._key(lm) for lm in basis.leading_monomials() if sum(lm) <= bound}
     # (monomial, its last nonzero index, its number of nonzero indices)
     layer = [] if 0 in lms else [(0, 0, 0)]
     found = [nu for nu, _, _ in layer]
-    for _ in range(through_degree):
+    for _ in range(bound):
         if not layer:
             break
         keys = [nu for nu, _, _ in layer]
@@ -522,7 +513,7 @@ def standard_monomials(basis: GroebnerBasis, through_degree: int) -> StandardMon
         for shift in shifts:
             exponents.append(nu >> shift & mask)
         monomials.append(tuple(exponents))
-    return StandardMonomialSet(n, tuple(monomials), through_degree, complete=not layer)
+    return StandardMonomialSet(n, tuple(monomials), bound, complete=not layer)
 
 
 def substitute_basis_power(basis: GroebnerBasis, m: int) -> GroebnerBasis:
@@ -548,12 +539,12 @@ def classical_degree_bound(n: int, m: int) -> int:
 @lru_cache(maxsize=None)
 def quasi_ideal_basis(n: int, m: int, degree_bound: int | None = None) -> GroebnerBasis:
     """Reduced basis of the ideal generated by quasi-invariants with no
-    constant term, valid through the bound.  At m = 1 it is computed from
-    the Lyndon generators, and for m >= 2 it is substituted from the m = 1
-    basis (module docstring)."""
+    constant term, valid through the bound.  At m = 1 and a bound of at
+    most n it is computed from the Lyndon generators; otherwise it is
+    substituted from the default m = 1 basis (module docstring)."""
     if degree_bound is None:
         return quasi_ideal_basis(n, m, default_degree_bound(n, m))
-    if m == 1:
+    if m == 1 and degree_bound <= n:
         gens = lyndon_quasi_invariant_generators(n, degree_bound)
         return reduced_groebner_basis(gens, degree_bound, nvars=n)
     substituted = substitute_basis_power(quasi_ideal_basis(n, 1), m)
@@ -570,22 +561,20 @@ def direct_quasi_ideal_basis(n: int, m: int, degree_bound: int | None = None) ->
 
 
 @lru_cache(maxsize=None)
-def classical_ideal_basis(n: int, m: int, degree_bound: int | None = None) -> GroebnerBasis:
+def classical_ideal_basis(n: int, m: int) -> GroebnerBasis:
     """Reduced basis of the ideal generated by the elementary symmetric
-    polynomials evaluated at (x1^m, ..., xn^m)."""
-    if degree_bound is None:
-        return classical_ideal_basis(n, m, classical_degree_bound(n, m))
+    polynomials evaluated at (x1^m, ..., xn^m), through one more than the
+    top coinvariant degree."""
     gens = [elementary_symmetric_power(k, n, m) for k in range(1, n + 1)]
-    return reduced_groebner_basis(gens, degree_bound, nvars=n)
+    return reduced_groebner_basis(gens, classical_degree_bound(n, m), nvars=n)
 
 
 def stabilization_check(n: int, m: int) -> bool:
     """Re-run the quasi ideal by Buchberger with the bound enlarged by m and
     an enlarged generator set; the standard-monomial set must not change."""
-    bound = default_degree_bound(n, m)
-    first = standard_monomials(quasi_ideal_basis(n, m), bound)
-    enlarged = direct_quasi_ideal_basis(n, m, bound + m)
-    second = standard_monomials(enlarged, bound + m)
+    first = standard_monomials(quasi_ideal_basis(n, m))
+    enlarged = direct_quasi_ideal_basis(n, m, default_degree_bound(n, m) + m)
+    second = standard_monomials(enlarged)
     return (
         first.complete
         and second.complete

@@ -149,13 +149,26 @@ def _level_generators(n: int, m: int, j: int, ideal: str) -> list:
 
 
 def _residues(n: int, m: int, s: int):
-    """The residues alpha in {0..m-1}^n with |alpha| = s, ascending lex."""
-    if s == 0:
-        yield (0,) * n
+    """The residues alpha in {0..m-1}^n with |alpha| = s, ascending lex, one
+    at a time: the successor raises the last entry i below m - 1 with a
+    positive sum r after it, and packs r - 1 to the right of i."""
+    top = m - 1
+    if not 0 <= s <= n * top:
         return
-    for a in range(max(0, s - (n - 1) * (m - 1)), min(m - 1, s) + 1):
-        for rest in _residues(n - 1, m, s - a):
-            yield (a,) + rest
+    alpha, i, rest = [0] * n, -1, s
+    while True:
+        for j in range(n - 1, i, -1):
+            alpha[j] = min(top, rest)
+            rest -= alpha[j]
+        yield tuple(alpha)
+        i = n - 1
+        while i >= 0 and not (rest and alpha[i] < top):
+            rest += alpha[i]
+            i -= 1
+        if i < 0:
+            return
+        alpha[i] += 1
+        rest -= 1
 
 
 def _block_kernel_dim(n, m, alpha, k, ideal, max_entries, generators) -> int:

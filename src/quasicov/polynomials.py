@@ -24,19 +24,21 @@ from .scalars import Cyclotomic
 
 
 def exponent_vectors(nvars: int, degree: int) -> list:
-    """All exponent vectors of the given total degree, ascending lex."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix) + (remaining,))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    rec([], degree, nvars)
+    """All exponent vectors of the given total degree, ascending lex: an
+    odometer from (0, ..., 0, degree) that moves one unit from the last
+    nonzero entry k to entry k - 1 and the rest of entry k to the end."""
+    if nvars == 0 or degree <= 0:
+        return [(0,) * nvars] if degree == 0 else []
+    nu = [0] * (nvars - 1) + [degree]
+    out = [tuple(nu)]
+    k = last = nvars - 1
+    while k:
+        rest = nu[k] - 1
+        nu[k] = 0
+        nu[k - 1] += 1
+        nu[last] += rest
+        out.append(tuple(nu))
+        k = last if rest else k - 1  # the new last nonzero entry
     return out
 
 

@@ -79,8 +79,7 @@ def suite_main(n, m, *, max_group_order, max_kernel_entries):
     """Quotient dimension m^n * catalan(n) by every available route."""
     target = m**n * catalan(n)
     vectors = quotient_basis(n, m, max_entries=max_kernel_entries)
-    basis = quasi_ideal_basis(n, m)
-    sms = standard_monomials(basis, basis.degree_bound)
+    sms = standard_monomials(quasi_ideal_basis(n, m))
     checks = [
         _check("standard_monomials_complete", True, sms.complete),
         _check("groebner_route_dimension", target, len(sms.monomials)),
@@ -96,8 +95,7 @@ def suite_main(n, m, *, max_group_order, max_kernel_entries):
 def suite_hilbert(n, m, *, max_group_order, max_kernel_entries):
     """Graded dimensions: standard monomials vs closed series vs kernel
     oracle, plus the flagged single-prefactor variant."""
-    basis = quasi_ideal_basis(n, m)
-    sms = standard_monomials(basis, basis.degree_bound)
+    sms = standard_monomials(quasi_ideal_basis(n, m))
     series = series_from_monomials(sms)
     closed = quotient_series(n, m)
     checks = [
@@ -137,8 +135,7 @@ def suite_hilbert(n, m, *, max_group_order, max_kernel_entries):
 def suite_chevalley(n, m, *, max_group_order, max_kernel_entries):
     """The classical quotient has dimension m^n * n!."""
     target = m**n * factorial(n)
-    basis = classical_ideal_basis(n, m)
-    sms = standard_monomials(basis, basis.degree_bound)
+    sms = standard_monomials(classical_ideal_basis(n, m))
     checks = [
         _check("classical_standard_monomials_complete", True, sms.complete),
         _check("classical_quotient_dimension", target, len(sms.monomials)),

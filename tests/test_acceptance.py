@@ -85,7 +85,7 @@ def test_criterion_2_dimension_by_three_routes():
         if (n, m) in expected_samples:
             assert target == expected_samples[(n, m)]
         basis = quasi_ideal_basis(n, m)
-        sms = standard_monomials(basis, basis.degree_bound)
+        sms = standard_monomials(basis)
         assert sms.complete
         assert len(sms.monomials) == target, (n, m)
         assert len(quotient_basis(n, m)) == target, (n, m)
@@ -98,7 +98,7 @@ def test_criterion_3_standard_monomials_equal_path_basis():
     cases = GRID + [(4, 1), (4, 2)]
     for n, m in cases:
         basis = quasi_ideal_basis(n, m)
-        sms = standard_monomials(basis, basis.degree_bound)
+        sms = standard_monomials(basis)
         assert sms.complete, (n, m)
         assert set(sms.monomials) == set(quotient_basis(n, m)), (n, m)
 
@@ -132,7 +132,7 @@ def test_criterion_6_hilbert_agreement_and_discrepancy():
     for n, m in GRID:
         closed = quotient_series(n, m)
         basis = quasi_ideal_basis(n, m)
-        sms = standard_monomials(basis, basis.degree_bound)
+        sms = standard_monomials(basis)
         assert series_from_monomials(sms) == closed, (n, m)
         literal = single_prefactor_series(n, m)
         if n >= 2 and m >= 2:

@@ -374,6 +374,43 @@ def test_negative_degree_bound_is_a_usage_error(capsys):
     assert doc["result"]["standard_monomials"]["complete"] is False
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["dim", "--method", "groebner"], ["dim", "--method", "basis"], ["series"]],
+)
+def test_only_groebner_takes_a_degree_bound(argv, capsys):
+    argv = argv + ["--n", "3", "--m", "2", "--degree-bound", "12"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --degree-bound 12" in capsys.readouterr().err
+
+
+def test_m1_bound_far_above_the_default_reuses_the_default_basis(capsys):
+    argv = ["groebner", "--n", "1", "--m", "1", "--degree-bound", "100000000"]
+    code, doc, _ = run_json(argv, capsys)
+    _, default, _ = run_json(["groebner", "--n", "1", "--m", "1"], capsys)
+    assert code == 0
+    assert doc["result"]["degree_bound"] == 100000000
+    assert doc["result"]["standard_monomials"] == default["result"]["standard_monomials"]
+    assert doc["result"]["standard_monomials"]["monomials"] == [[0]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--n", "990", "--m", "1", "--method", "harmonic"],
+        ["dim", "--n", "1200", "--m", "1", "--method", "harmonic"],
+        ["dim", "--n", "1200", "--m", "2", "--method", "harmonic"],
+        ["verify", "--n", "1200", "--m", "1", "--suite", "propu"],
+    ],
+)
+def test_many_variables_reach_a_cap_not_the_recursion_limit(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit:") and "Traceback" not in err
+
+
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "basis.json"
     code, out, err = run_cli(
@@ -565,8 +602,10 @@ def test_act_command_lines_end_in_a_contract_exit_code(argv):
 def run_argv(draw):
     """`basis`, `dim`, `series`, `groebner` and `verify` command lines with
     small or invalid n, m and --degree-bound, and each choice option drawn
-    from its choices plus one invalid string.  n stays at most 4 because
-    larger n reaches work that no cap bounds yet (the Groebner engine)."""
+    from its choices plus one invalid string.  argparse refuses
+    --degree-bound on `dim` and `series` (exit 2); only `groebner` takes it.
+    n stays at most 4 because larger n reaches work that no cap bounds yet
+    (the Groebner engine)."""
     command = draw(st.sampled_from(["basis", "dim", "series", "groebner", "verify"]))
     argv = [command, "--n", str(draw(st.integers(-1, 4))), "--m", str(draw(st.integers(-1, 3)))]
     if command in ("dim", "series", "groebner"):

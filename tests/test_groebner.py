@@ -35,7 +35,7 @@ from quasicov.polynomials import (
     exponent_vectors,
     parse_polynomial,
 )
-from quasicov.qsym import quasi_invariant_generators
+from quasicov.qsym import lyndon_quasi_invariant_generators, quasi_invariant_generators
 
 
 def P(text, nvars):
@@ -87,9 +87,8 @@ def test_normal_form_reduces_by_the_first_divisor_in_list_order():
     # orders leave different remainders.
     f, g = P("x1^2 + x2^2", 2), P("x1*x2", 2)
     p = P("x1^2*x2", 2)
-    assert normal_form(p, [f, g]) == P("-x2^3", 2)
     assert normal_form(p, GroebnerBasis(2, (f, g), 3, reduced=False)) == P("-x2^3", 2)
-    assert normal_form(p, [g, f]).is_zero()
+    assert normal_form(p, GroebnerBasis(2, (g, f), 3, reduced=False)).is_zero()
 
 
 def _fraction_normal_form(p, basis):
@@ -157,7 +156,6 @@ def _homogeneous_polynomials(n, max_terms, max_degree=6, coefficients=_coefficie
 def test_normal_form_matches_fraction_division(drawn):
     p, divisors = drawn
     expected = _fraction_normal_form(p, divisors)
-    assert normal_form(p, divisors) == expected
     bound = max(g.degree() for g in [p, *divisors])
     basis = GroebnerBasis(p.nvars, tuple(divisors), bound, reduced=False)
     assert normal_form(p, basis) == expected
@@ -173,27 +171,13 @@ def test_normal_form_at_the_packed_width_boundary(D):
     p = P(f"x1^{D} + 5*x1^{D - 1}*x2 + x2^{D} - x3^{D} + x1*x2", 3)
     expected = _fraction_normal_form(p, [f, g])
     assert (D, 0, 0) in expected.terms and (0, 0, D) in expected.terms
-    assert normal_form(p, [f, g]) == expected
     assert normal_form(p, GroebnerBasis(3, (f, g), D, reduced=False)) == expected
-
-
-def test_normal_form_of_a_list_packs_for_the_dividend_degree():
-    # Every divisor has degree at most 2, whose fields would hold only 3.
-    p = P("x1^9*x2^3 + 7*x2^12 - x1^5*x3^2", 3)
-    divisors = [P("x1*x2 - x3^2", 3), P("x2^2 + x1*x3", 3)]
-    expected = _fraction_normal_form(p, divisors)
-    assert max(map(max, expected.terms)) > 3
-    assert normal_form(p, divisors) == expected
-    with pytest.raises(ValueError, match="exceeds packed degree"):
-        groebner._Divisors(3, divisors).normal_form(p)
 
 
 def test_normal_form_rejects_inhomogeneous_divisors():
     # Reducing x1^5 by x1 - x2^7 would reach x2^35, past any width the
     # degree 7 of the input fixes.
     f = P("x1 - x2^7", 2)
-    with pytest.raises(ValueError, match="not homogeneous"):
-        normal_form(P("x1^5", 2), [f])
     with pytest.raises(ValueError, match="not homogeneous"):
         normal_form(P("x1^5", 2), GroebnerBasis(2, (f,), 7, reduced=False))
     with pytest.raises(ValueError, match="not homogeneous"):
@@ -203,14 +187,14 @@ def test_normal_form_rejects_inhomogeneous_divisors():
 def test_normal_form_rejects_cyclotomic_coefficients():
     f = P("x1 + x2", 2)
     z = parse_polynomial("(z)*x1 + x2", 2, order=3)
-    for p, basis in [(z, [f]), (f, [z]), (z, _basis([f], 2)), (f, _basis([z], 2))]:
+    for p, basis in [(z, _basis([f], 2)), (f, _basis([z], 2))]:
         with pytest.raises(ValueError, match="ideal computations run over the rationals"):
             normal_form(p, basis)
 
 
 def test_normal_form_rejects_mixed_variable_counts():
     with pytest.raises(ValueError):
-        normal_form(P("x1^2", 2), [P("x1", 1)])
+        normal_form(P("x1^2", 2), _basis([P("x1", 1)], 3))
     with pytest.raises(ValueError):
         normal_form(P("x1^2", 1), _basis([P("x1", 2)], 3))
 
@@ -344,19 +328,21 @@ def test_normal_form_by_a_buchberger_basis_ignores_its_insertion_order(drawn):
     bound = max(g.degree() for g in gens) + 2
     p = Polynomial(p.nvars, {nu: c for nu, c in p.terms.items() if sum(nu) <= bound})
     basis = buchberger(gens, bound)
-    assert normal_form(p, basis) == normal_form(p, list(basis.generators))
+    # The same tuple without the cached divisors divides in generator order.
+    assert normal_form(p, basis) == normal_form(p, GroebnerBasis(*basis))
 
 
 def _restart_autoreduce(polys):
     """Reference interreduction: restart from the first polynomial after
     every change."""
     polys = [_monic(p) for p in polys if p.terms]
+    bound = max(p.degree() for p in polys)
     changed = True
     while changed:
         changed = False
         polys.sort(key=lambda q: q.leading_monomial()[0])
         for i in range(len(polys)):
-            rest = polys[:i] + polys[i + 1:]
+            rest = GroebnerBasis(polys[i].nvars, (*polys[:i], *polys[i + 1:]), bound, False)
             r = normal_form(polys[i], rest)
             if r == polys[i]:
                 continue
@@ -609,18 +595,18 @@ def test_buchberger_criterion_self_check(n, m):
 
 
 def test_standard_monomials_examples():
-    basis = _basis([P("x1 + x2", 2), P("x2^2", 2)], 5)
-    sms = standard_monomials(basis, 3)
+    basis = _basis([P("x1 + x2", 2), P("x2^2", 2)], 3)
+    sms = standard_monomials(basis)
     assert sms.monomials == ((0, 0), (0, 1))
     assert sms.complete
 
-    gb22 = quasi_ideal_basis(2, 2, 7)
-    sms22 = standard_monomials(gb22, 5)
+    # A bound above the default finds the same, complete set.
+    sms22 = standard_monomials(quasi_ideal_basis(2, 2, 7))
     assert list(sms22.monomials) == quotient_basis(2, 2)
     assert sms22.complete
 
     empty = GroebnerBasis(1, (), 1, reduced=True)
-    sms_empty = standard_monomials(empty, 1)
+    sms_empty = standard_monomials(empty)
     assert sms_empty.monomials == ((0,), (1,))
     assert not sms_empty.complete
 
@@ -642,7 +628,8 @@ def _scan_standard_monomials(basis, through_degree):
 
 def _assert_matches_scan(basis):
     for through in range(basis.degree_bound + 1):
-        assert standard_monomials(basis, through) == _scan_standard_monomials(basis, through)
+        truncated = basis._replace(degree_bound=through)
+        assert standard_monomials(truncated) == _scan_standard_monomials(basis, through)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -663,7 +650,8 @@ def test_standard_monomials_match_scan_on_empty_and_constant_bases():
         one = Polynomial.monomial((0,) * n, Fraction(1))
         constant = GroebnerBasis(n, (P("x1", n), one), 3, reduced=False)
         _assert_matches_scan(constant)
-        assert standard_monomials(constant, 0) == StandardMonomialSet(n, (), 0, complete=True)
+        truncated = constant._replace(degree_bound=0)
+        assert standard_monomials(truncated) == StandardMonomialSet(n, (), 0, complete=True)
 
 
 def _cap_degree(exps, cap=6):
@@ -695,20 +683,14 @@ def test_standard_monomials_match_scan_on_monomial_ideals(drawn):
 def test_standard_monomials_stop_at_the_first_empty_degree():
     basis = quasi_ideal_basis(2, 1)
     huge = GroebnerBasis(basis.nvars, basis.generators, 10**6, basis.reduced)
-    sms = standard_monomials(huge, 10**6)
+    sms = standard_monomials(huge)
     assert sms.complete
-    assert sms.monomials == standard_monomials(basis, basis.degree_bound).monomials
-
-
-def test_standard_monomials_respects_bound():
-    basis = _basis([P("x1", 2)], 3)
-    with pytest.raises(ValueError):
-        standard_monomials(basis, 4)
+    assert sms.monomials == standard_monomials(basis).monomials
 
 
 def test_standard_monomials_closed_under_division():
     basis = quasi_ideal_basis(3, 2)
-    sms = standard_monomials(basis, basis.degree_bound)
+    sms = standard_monomials(basis)
     members = set(sms.monomials)
     for nu in members:
         for i in range(len(nu)):
@@ -741,7 +723,7 @@ def test_quasi_ideal_basis_equals_the_direct_route_at_every_bound(n, m):
         substituted = quasi_ideal_basis(n, m, bound)
         direct = direct_quasi_ideal_basis(n, m, bound)
         assert substituted == direct, bound
-        assert standard_monomials(substituted, bound) == standard_monomials(direct, bound)
+        assert standard_monomials(substituted) == standard_monomials(direct)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -750,7 +732,15 @@ def test_lyndon_route_equals_the_direct_route_at_every_bound(n):
         lyndon = quasi_ideal_basis(n, 1, bound)
         direct = direct_quasi_ideal_basis(n, 1, bound)
         assert lyndon == direct, bound
-        assert standard_monomials(lyndon, bound) == standard_monomials(direct, bound)
+        assert standard_monomials(lyndon) == standard_monomials(direct)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_m1_bounds_above_n_reuse_the_default_basis(n):
+    for bound in range(n + 1, n + 4):
+        gens = lyndon_quasi_invariant_generators(n, bound)
+        expected = reduced_groebner_basis(gens, bound, nvars=n)
+        assert quasi_ideal_basis(n, 1, bound).generators == expected.generators
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -766,7 +756,7 @@ def test_m1_basis_is_complete_at_the_default_bound(n):
     of degree n is standard, so the truncated m = 1 basis is a full one."""
     basis = quasi_ideal_basis(n, 1)
     assert basis.degree_bound == n
-    sms = standard_monomials(basis, n)
+    sms = standard_monomials(basis)
     assert sms.complete
     assert len(sms.monomials) == catalan(n)
 
@@ -786,7 +776,7 @@ def test_leading_monomials_are_dilated_minimal_transdiagonals(n, m):
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
 def test_standard_monomials_equal_path_basis(n, m):
     basis = quasi_ideal_basis(n, m)
-    sms = standard_monomials(basis, basis.degree_bound)
+    sms = standard_monomials(basis)
     assert sms.complete
     assert list(sms.monomials) == quotient_basis(n, m)
     assert len(sms.monomials) == m**n * catalan(n)
@@ -801,9 +791,6 @@ def test_stabilization_of_the_degree_truncation(n, m):
 
 def test_default_bound_shares_the_cache_entry():
     assert quasi_ideal_basis(3, 2) is quasi_ideal_basis(3, 2, default_degree_bound(3, 2))
-    assert classical_ideal_basis(2, 2) is classical_ideal_basis(
-        2, 2, classical_degree_bound(2, 2)
-    )
 
 
 def test_classical_ideal_dimensions():
@@ -811,7 +798,7 @@ def test_classical_ideal_dimensions():
 
     for n, m in [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1)]:
         basis = classical_ideal_basis(n, m)
-        sms = standard_monomials(basis, basis.degree_bound)
+        sms = standard_monomials(basis)
         assert sms.complete
         assert len(sms.monomials) == m**n * math.factorial(n)
 
@@ -831,7 +818,7 @@ def test_degree_bounds():
 def test_records_are_immutable_values():
     basis = quasi_ideal_basis(2, 2)
     assert basis._divisors is basis._divisors  # cached once per basis
-    for record, field in ((basis, "degree_bound"), (standard_monomials(basis, 3), "complete")):
+    for record, field in ((basis, "degree_bound"), (standard_monomials(basis), "complete")):
         with pytest.raises(AttributeError):
             setattr(record, field, 0)
         with pytest.raises(AttributeError):

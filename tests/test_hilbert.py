@@ -1,5 +1,6 @@
 """Hilbert series: standard monomials, closed formulas, kernel oracle."""
 
+import itertools
 from math import factorial, prod
 
 import pytest
@@ -119,6 +120,19 @@ def test_kernel_dim_examples():
         kernel_dims_by_residue(2, 2, "other")
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 5))
+def test_residues_match_an_itertools_reference(n, m):
+    for s in range(-1, n * (m - 1) + 2):
+        expected = [a for a in itertools.product(range(m), repeat=n) if sum(a) == s]
+        assert list(hilbert._residues(n, m, s)) == expected
+
+
+def test_kernel_dim_over_many_variables_does_not_recurse():
+    # Degree 1 at m = 2: one block of one column per residue e_i.
+    assert coinvariant_kernel_dim(1200, 2, 1) == 1200
+
+
 def test_kernel_dim_resource_cap():
     with pytest.raises(ResourceLimitError):
         coinvariant_kernel_dim(3, 3, 9, "quasi", max_entries=100)
@@ -236,7 +250,7 @@ def test_three_way_agreement(n, m):
     every degree through one past the top."""
     closed = quotient_series(n, m)
     basis = quasi_ideal_basis(n, m)
-    sms = standard_monomials(basis, basis.degree_bound)
+    sms = standard_monomials(basis)
     assert series_from_monomials(sms) == closed
     dims = kernel_dims_until_zero(n, m, "quasi")
     assert dims == list(closed.coefficients)

@@ -1,5 +1,6 @@
 """Sparse polynomial arithmetic, lex order, the differential pairing."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -146,6 +147,13 @@ def test_exponent_vectors_enumeration():
     assert exponent_vectors(2, 2) == [(0, 2), (1, 1), (2, 0)]
     assert exponent_vectors(1, 5) == [(5,)]
     assert len(exponent_vectors(3, 4)) == math.comb(6, 2)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_exponent_vectors_match_an_itertools_reference(n):
+    for d in range(9):
+        expected = [nu for nu in itertools.product(range(d + 1), repeat=n) if sum(nu) == d]
+        assert exponent_vectors(n, d) == expected
 
 
 def test_render_canonical_format():

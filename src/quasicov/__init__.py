@@ -65,7 +65,6 @@ from .hilbert import (
     HilbertSeries,
     coinvariant_kernel_dim,
     dyck_series,
-    kernel_dims_by_residue,
     kernel_dims_until_zero,
     quotient_series,
     series_from_monomials,

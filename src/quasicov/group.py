@@ -26,7 +26,9 @@ from collections import namedtuple
 from itertools import permutations, product
 from math import comb, factorial
 
-from .errors import DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MATRIX_ENTRIES, ResourceLimitError
+from .errors import (
+    DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MATRIX_ENTRIES, ResourceLimitError, count_text
+)
 from .polynomials import Polynomial, exponent_vectors
 from .scalars import Cyclotomic
 
@@ -102,7 +104,7 @@ def enumerate_group(n: int, m: int, max_order: int = DEFAULT_MAX_GROUP_ORDER) ->
     order = m**n * factorial(n)
     if order > max_order:
         raise ResourceLimitError(
-            f"group order {order} exceeds enumeration cap {max_order}"
+            f"group order {count_text(order)} exceeds enumeration cap {max_order}"
         )
     out = []
     for tau in permutations(range(1, n + 1)):
@@ -213,13 +215,13 @@ def fixed_space_dimension(
     zeta^t(nu) * x^nu, which exists iff every image g . x^nu =
     zeta^phase * x^mu agrees, t(mu) = t(nu) + phase mod m, because zeta
     has order exactly m.  Each such orbit adds one dimension.
-    ``max_entries`` caps the images walked: generators times monomials.
+    ``max_entries`` caps generators times monomials times n, each image's length.
     """
     if action not in ("quasi", "classical"):
         raise ValueError(f"unknown action {action!r}")
     image = _quasi_image if action == "quasi" else _classical_image
     gens = generators(n, m)
-    if len(gens) * comb(n + degree - 1, degree) > max_entries:
+    if len(gens) * comb(n + degree - 1, degree) * n > max_entries:
         raise ResourceLimitError(
             f"fixed-space system for n={n}, m={m}, degree={degree} exceeds cap"
         )

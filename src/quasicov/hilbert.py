@@ -12,15 +12,13 @@ Every generator, M_alpha(x^m) or e_k(x^m), lies in Q[x^m], and Q[x] is
 free over Q[x^m] with basis {x^alpha : 0 <= alpha_i < m}.  A product
 x^mu * g keeps the residue mu mod m in every exponent, so the system of
 each degree is block-diagonal by residue: block (alpha, k) has the columns
-x^(alpha + m*beta) with |beta| = k, in degree |alpha| + m*k.  Dividing
-its rows and columns by x^alpha and putting y = x^m leaves the degree-k
-system of (n, 1), so every block (alpha, k) has the kernel dimension of
-the (n, 1) block at level k.  The oracle still ranks each block with its
-own lift and indexing, which checks the generator construction at m >= 2.
-It walks each residue for k = 0, 1, ... and stops at the first zero
-kernel: a zero kernel at (alpha, k) puts every x^(alpha + m*beta) with
+x^(alpha + m*beta) with |beta| = k, in degree |alpha| + m*k.  With its rows
+and columns indexed by beta, block (alpha, k) is block (0, k) entry for
+entry, so the oracle ranks each level k once, on the zero residue, and
+counts it once for every residue alpha.  The walk stops at the first zero
+kernel: a zero kernel at level k puts every x^(alpha + m*beta) with
 |beta| = k in the ideal, and multiplying by each x_i^m puts every one with
-|beta| = k + 1 there too, so the later kernels of the block are zero.
+|beta| = k + 1 there too, so the later levels are zero.
 
 The closed series uses the residue-expanded prefactor
 ((1 - t^m) / (1 - t))^n.  The single-prefactor variant (exponent 1) is also
@@ -34,7 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import comb
 
-from .errors import DEFAULT_MAX_MATRIX_ENTRIES, ResourceLimitError
+from .errors import DEFAULT_MAX_MATRIX_ENTRIES, ResourceLimitError, count_text
 from .linalg import kernel_dimension
 from .polynomials import exponent_vectors
 from .qsym import (
@@ -171,15 +169,16 @@ def _residues(n: int, m: int, s: int):
         rest -= 1
 
 
-def _block_kernel_dim(n, m, alpha, k, ideal, max_entries, generators) -> int:
-    """Kernel dimension of block (alpha, k): its column count minus the
-    rank of the span of I in that block.
+def _block_kernel_dim(n, m, k, ideal, max_entries, generators) -> int:
+    """Kernel dimension of level k: the column count of the zero residue's
+    block (0, k) minus the rank of the span of I in that block.
 
-    Its rows are the products X^mu * g with mu = alpha + m*beta', one for
-    each generator g of degree m*j and each |beta'| = k - j, each stored as
-    {column of nu: coefficient of X^nu in X^mu * g}.  The block's size,
-    rows times columns, is counted before anything is built.
-    ``generators`` holds the generators built so far, by level j.
+    Its columns are x^(m*beta) with |beta| = k, and its rows the products
+    X^(m*beta') * g, one for each generator g of degree m*j and each
+    |beta'| = k - j, each stored as {column of nu: coefficient of X^nu in
+    X^(m*beta') * g}.  The block's size, rows times columns, is counted
+    before anything is built.  ``generators`` holds the generators built
+    so far, by level j.
     """
     ncols = comb(n + k - 1, k)
     nrows = sum(
@@ -187,14 +186,14 @@ def _block_kernel_dim(n, m, alpha, k, ideal, max_entries, generators) -> int:
     )
     if nrows * ncols > max_entries:
         raise ResourceLimitError(
-            f"kernel system for n={n}, m={m}, degree={sum(alpha) + m * k} "
+            f"kernel system for n={n}, m={m}, degree={m * k} "
             f"exceeds cap of {max_entries} entries"
         )
     while len(generators) < k:
         generators.append(_level_generators(n, m, len(generators) + 1, ideal))
 
     def lift(beta):
-        return tuple([a + m * b for a, b in zip(alpha, beta)])
+        return tuple([m * b for b in beta])
 
     index = {lift(beta): i for i, beta in enumerate(exponent_vectors(n, k))}
     rows = []
@@ -218,40 +217,14 @@ def coinvariant_kernel_dim(
 ) -> int:
     """Dimension of the homogeneous polynomials of the given degree that are
     annihilated by every ideal generator applied as a differential operator:
-    the sum of the kernels of the residue blocks in that degree."""
+    for each residue sum s = degree - m*k, level k's kernel dimension times
+    the number of residues of sum s."""
     generators: list = []
     return sum(
-        _block_kernel_dim(n, m, alpha, (degree - s) // m, ideal, max_entries, generators)
+        _block_kernel_dim(n, m, (degree - s) // m, ideal, max_entries, generators)
+        * sum(1 for _ in _residues(n, m, s))
         for s in range(degree % m, min(degree, n * (m - 1)) + 1, m)
-        for alpha in _residues(n, m, s)
     )
-
-
-def kernel_dims_by_residue(
-    n: int,
-    m: int,
-    ideal: str = "quasi",
-    max_entries: int = DEFAULT_MAX_MATRIX_ENTRIES,
-) -> dict:
-    """{alpha: [kernel dimension of block (alpha, k) for k = 0, 1, ...]} for
-    every residue alpha, each list ending before its block's first zero."""
-    safety = 4 * m * n + 4
-    generators: list = []
-    out = {}
-    for s in range(n * (m - 1) + 1):
-        for alpha in _residues(n, m, s):
-            dims = out[alpha] = []
-            for k in range((safety - s) // m + 1):
-                d = _block_kernel_dim(n, m, alpha, k, ideal, max_entries, generators)
-                if d == 0:
-                    break
-                dims.append(d)
-            else:
-                raise RuntimeError(
-                    f"quotient for n={n}, m={m}, ideal={ideal} "
-                    f"did not terminate by degree {safety}"
-                )
-    return out
 
 
 def kernel_dims_until_zero(
@@ -261,11 +234,27 @@ def kernel_dims_until_zero(
     max_entries: int = DEFAULT_MAX_MATRIX_ENTRIES,
 ) -> list:
     """Kernel dimensions for degree 0, 1, 2, ... up to the last nonzero one:
-    ``kernel_dims_by_residue`` summed by degree."""
-    dims: list = []
-    for alpha, block in kernel_dims_by_residue(n, m, ideal, max_entries).items():
-        for k, d in enumerate(block):
-            degree = sum(alpha) + m * k
-            dims.extend([0] * (degree + 1 - len(dims)))
-            dims[degree] += d
-    return dims
+    each level k, ranked once up to the first zero kernel, adds its
+    dimension at degree |alpha| + m*k for every residue alpha.  The m^n
+    residues count against ``max_entries`` before the walk starts."""
+    if m**n > max_entries:
+        raise ResourceLimitError(
+            f"kernel oracle for n={n}, m={m} has {count_text(m**n)} residues, "
+            f"exceeding cap of {max_entries}"
+        )
+    top = n * (m - 1)
+    safety = 4 * m * n + 4
+    generators: list = []
+    zero_residue = []  # the zero residue's kernel dimensions by degree
+    for k in range((safety - top) // m + 1):
+        d = _block_kernel_dim(n, m, k, ideal, max_entries, generators)
+        if d == 0:
+            break
+        zero_residue.extend([d] + [0] * (m - 1))
+    else:
+        raise RuntimeError(
+            f"quotient for n={n}, m={m}, ideal={ideal} "
+            f"did not terminate by degree {safety}"
+        )
+    residues = [sum(1 for _ in _residues(n, m, s)) for s in range(top + 1)]
+    return _poly_mul(residues, zero_residue)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import product
 from math import comb
 
-from .errors import DEFAULT_MAX_MATRIX_ENTRIES, ResourceLimitError
+from .errors import DEFAULT_MAX_MATRIX_ENTRIES, ResourceLimitError, count_text
 from .polynomials import exponent_vectors
 
 
@@ -69,7 +69,7 @@ def quotient_basis(n: int, m: int, max_entries: int = DEFAULT_MAX_MATRIX_ENTRIES
     count = m**n * catalan(n)
     if count > max_entries:
         raise ResourceLimitError(
-            f"quotient basis for n={n}, m={m} has {count} vectors, "
+            f"quotient basis for n={n}, m={m} has {count_text(count)} vectors, "
             f"exceeding cap of {max_entries}"
         )
     vectors = []

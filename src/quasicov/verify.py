@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from math import factorial
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, count_text
 from .group import (
     _classical_image,
     _quasi_image,
@@ -165,7 +165,7 @@ def suite_action_axioms(n, m, *, max_group_order, max_kernel_entries):
     pairs = (m**n * factorial(n)) ** 2
     if pairs > max_kernel_entries:
         raise ResourceLimitError(
-            f"action axioms for n={n}, m={m} need {pairs} element pairs, "
+            f"action axioms for n={n}, m={m} need {count_text(pairs)} element pairs, "
             f"exceeding cap of {max_kernel_entries}"
         )
     elements = enumerate_group(n, m, max_order=max_group_order)

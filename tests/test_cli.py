@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasicov.cli import _json_text, main
+from quasicov.errors import count_text
 from quasicov.polynomials import Polynomial, render_polynomial
 from quasicov.scalars import Cyclotomic, euler_phi
 from quasicov.verify import SUITES, run_suite
@@ -403,12 +404,48 @@ def test_m1_bound_far_above_the_default_reuses_the_default_basis(capsys):
         ["dim", "--n", "1200", "--m", "1", "--method", "harmonic"],
         ["dim", "--n", "1200", "--m", "2", "--method", "harmonic"],
         ["verify", "--n", "1200", "--m", "1", "--suite", "propu"],
+        # 899 generators times 900 monomials times n = 900 entries per image
+        ["verify", "--n", "900", "--m", "1", "--suite", "propu"],
     ],
 )
 def test_many_variables_reach_a_cap_not_the_recursion_limit(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (3, "")
     assert err.startswith("resource limit:") and "Traceback" not in err
+
+
+def test_harmonic_residues_are_capped(capsys):
+    """The m^n residues are counted before any level is ranked."""
+    argv = ["dim", "--n", "2", "--m", "1500", "--method", "harmonic"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource limit: kernel oracle for n=2, m=1500 has 2250000 residues, "
+        "exceeding cap of 1000000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # (2000!)^2 element pairs
+        ["verify", "--n", "2000", "--m", "1", "--suite", "action-axioms"],
+        # catalan(8000) vectors, 4813 digits
+        ["basis", "--n", "8000", "--m", "1"],
+    ],
+)
+def test_a_count_too_long_to_print_is_a_resource_limit(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit:") and " at least 10^" in err
+
+
+def test_count_text_is_exact_or_a_power_of_ten_below():
+    assert count_text(16323486328125000) == "16323486328125000"
+    for count in (10**5000, 2**20000 - 1, 3**10000):
+        text = count_text(count)
+        assert text.startswith("at least 10^")
+        assert 10 ** int(text.removeprefix("at least 10^")) <= count
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):

@@ -145,6 +145,9 @@ def test_enumerate_group():
     assert len(set(enumerate_group(3, 3))) == 162
     with pytest.raises(ResourceLimitError):
         enumerate_group(3, 3, max_order=100)
+    # 2000! has more digits than Python converts to text
+    with pytest.raises(ResourceLimitError, match=r"group order at least 10\^"):
+        enumerate_group(2000, 1)
 
 
 def test_classical_action_examples():
@@ -358,13 +361,14 @@ def test_fixed_space_cap_is_checked_before_enumerating(monkeypatch):
         raise AssertionError("exponent_vectors called before the cap")
 
     monkeypatch.setattr(group, "exponent_vectors", enumerate_nothing)
-    # 3 generators times C(5, 3) = 10 monomials of degree 3 in 3 variables
+    # 3 generators times C(5, 3) = 10 monomials of degree 3 in 3 variables,
+    # times n = 3 entries per image
     with pytest.raises(ResourceLimitError):
-        fixed_space_dimension(3, 2, 3, "quasi", max_entries=29)
+        fixed_space_dimension(3, 2, 3, "quasi", max_entries=89)
     with pytest.raises(ResourceLimitError):
         fixed_space_dimension(40, 3, 40, "classical")
     monkeypatch.undo()
-    assert fixed_space_dimension(3, 2, 3, "quasi", max_entries=30) == 0
+    assert fixed_space_dimension(3, 2, 3, "quasi", max_entries=90) == 0
 
 
 def test_propu_at_nine_variables(capsys):

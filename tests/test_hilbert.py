@@ -1,10 +1,9 @@
 """Hilbert series: standard monomials, closed formulas, kernel oracle."""
 
 import itertools
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
-from hypothesis import given, strategies as st
 from test_linalg import sparse_int_rows
 
 from quasicov import hilbert
@@ -14,7 +13,6 @@ from quasicov.hilbert import (
     HilbertSeries,
     coinvariant_kernel_dim,
     dyck_series,
-    kernel_dims_by_residue,
     kernel_dims_until_zero,
     quotient_series,
     series_from_monomials,
@@ -117,7 +115,7 @@ def test_kernel_dim_examples():
     with pytest.raises(ValueError):
         coinvariant_kernel_dim(2, 1, 1, "other")
     with pytest.raises(ValueError):
-        kernel_dims_by_residue(2, 2, "other")
+        kernel_dims_until_zero(2, 2, "other")
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -200,15 +198,14 @@ def _unsplit_kernel_dim(n, m, degree, ideal):
     return kernel_dimension(sparse_int_rows(rows), len(monomials))
 
 
-@given(data=st.data())
-def test_residue_blocks_sum_to_the_unsplit_system(data):
-    n = data.draw(st.integers(1, 3), label="n")
-    m = data.draw(st.integers(1, 3), label="m")
-    degree = data.draw(st.integers(0, 3 * m + 1), label="degree")
-    ideal = data.draw(st.sampled_from(["quasi", "classical"]), label="ideal")
-    assert coinvariant_kernel_dim(n, m, degree, ideal) == _unsplit_kernel_dim(
-        n, m, degree, ideal
-    )
+def test_residue_blocks_sum_to_the_unsplit_system():
+    """The oracle ranks only the zero residue's blocks; this builds every
+    degree's whole system, all residues at once, for n, m <= 3."""
+    for n, m, ideal in itertools.product((1, 2, 3), (1, 2, 3), ("quasi", "classical")):
+        for degree in range(3 * m + 2):
+            assert coinvariant_kernel_dim(n, m, degree, ideal) == _unsplit_kernel_dim(
+                n, m, degree, ideal
+            ), (n, m, degree, ideal)
 
 
 def _q_factorial(n):
@@ -226,21 +223,60 @@ def _q_factorial(n):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_each_residue_block_carries_the_m_1_series(n, m):
     """Every residue block alpha carries the (n, 1) series in t^m: the Dyck
-    series D_n for the quasi ideal and [n]_t! for the classical one."""
+    series D_n for the quasi ideal and [n]_t! for the classical one, so the
+    oracle's series is the sum over alpha of t^|alpha| * D_n(t^m)."""
     assert sum(_q_factorial(n)) == factorial(n)
     for ideal, series in [("quasi", list(dyck_series(n).coefficients)),
                           ("classical", _q_factorial(n))]:
-        blocks = kernel_dims_by_residue(n, m, ideal)
-        assert len(blocks) == m**n
-        assert all(max(alpha) < m for alpha in blocks)
-        assert all(dims == series for dims in blocks.values()), (ideal, blocks)
+        expected = [0] * (n * (m - 1) + m * (len(series) - 1) + 1)
+        for alpha in itertools.product(range(m), repeat=n):
+            for k, c in enumerate(series):
+                expected[sum(alpha) + m * k] += c
+        assert kernel_dims_until_zero(n, m, ideal) == expected, ideal
 
 
-def test_kernel_walk_caps_the_first_residue_before_the_others():
-    """At n = 300 the zero residue's block at k = 2 exceeds the cap,
-    so the 2^300 other residues are never reached."""
+def test_kernel_walk_caps_the_first_residue_before_the_others(monkeypatch):
+    """At n = 300 the 2^300 residues exceed the cap before any level is
+    built or any residue enumerated."""
+    def build_nothing(*args):
+        raise AssertionError("walk started before the residue cap")
+
+    monkeypatch.setattr(hilbert, "exponent_vectors", build_nothing)
+    monkeypatch.setattr(hilbert, "_residues", build_nothing)
+    with pytest.raises(ResourceLimitError, match=f"has {2**300} residues"):
+        kernel_dims_until_zero(300, 2)
+
+
+def test_kernel_walk_cap_is_the_residue_count():
+    """(2,4) has 4^2 = 16 residues, and its largest level has 4 rows and
+    3 columns."""
     with pytest.raises(ResourceLimitError):
-        kernel_dims_by_residue(300, 2)
+        kernel_dims_until_zero(2, 4, max_entries=15)
+    assert sum(kernel_dims_until_zero(2, 4, max_entries=16)) == 16 * catalan(2)
+
+
+@pytest.mark.parametrize("ideal", ["quasi", "classical"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_walk_ranks_each_level_once(monkeypatch, ideal, n):
+    """One elimination per level k = 0, 1, ... up to the first zero kernel,
+    whatever m is: the m^n residue blocks of a level are one matrix."""
+    levels = len(dyck_series(n).coefficients if ideal == "quasi" else _q_factorial(n))
+    calls = []
+
+    def record(rows, ncols):
+        calls.append(ncols)
+        return kernel_dimension(rows, ncols)
+
+    monkeypatch.setattr(hilbert, "kernel_dimension", record)
+    for m in (1, 2, 3, 4):
+        calls.clear()
+        kernel_dims_until_zero(n, m, ideal)
+        assert calls == [comb(n + k - 1, k) for k in range(levels + 1)], m
+
+
+@pytest.mark.parametrize("n,m", [(4, 4), (5, 3), (6, 2)])
+def test_kernel_oracle_reaches_past_n_m_4(n, m):
+    assert kernel_dims_until_zero(n, m) == list(quotient_series(n, m).coefficients)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,10 +1,11 @@
 """Shared exception types and the default resource caps."""
 
-# Default cap on the group elements that one call may enumerate.
+# Fixed guard on the group elements that enumerate_group builds; the
+# action-axioms pairs cap below keeps the order to 1000 at its default.
 DEFAULT_MAX_GROUP_ORDER = 10_000
 
-# Default cap on the work counted before a loop starts: the rows times columns
-# of each kernel-oracle level, its m^n residues, the fixed-space walk's
+# Default cap on the work counted before a loop starts: the (rows + n) times
+# columns of each kernel-oracle level, its m^n residues, the fixed-space walk's
 # generator images times n, the action-axioms pairs and the path-basis vectors.
 DEFAULT_MAX_MATRIX_ENTRIES = 1_000_000
 

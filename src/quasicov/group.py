@@ -100,11 +100,12 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(g.n, g.m, tuple(tau_inv), weights)
 
 
-def enumerate_group(n: int, m: int, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> list:
+def enumerate_group(n: int, m: int) -> list:
     order = m**n * factorial(n)
-    if order > max_order:
+    if order > DEFAULT_MAX_GROUP_ORDER:
         raise ResourceLimitError(
-            f"group order {count_text(order)} exceeds enumeration cap {max_order}"
+            f"group order {count_text(order)} exceeds enumeration cap "
+            f"{DEFAULT_MAX_GROUP_ORDER}"
         )
     out = []
     for tau in permutations(range(1, n + 1)):

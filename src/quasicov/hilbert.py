@@ -15,10 +15,12 @@ each degree is block-diagonal by residue: block (alpha, k) has the columns
 x^(alpha + m*beta) with |beta| = k, in degree |alpha| + m*k.  With its rows
 and columns indexed by beta, block (alpha, k) is block (0, k) entry for
 entry, so the oracle ranks each level k once, on the zero residue, and
-counts it once for every residue alpha.  The walk stops at the first zero
-kernel: a zero kernel at level k puts every x^(alpha + m*beta) with
-|beta| = k in the ideal, and multiplying by each x_i^m puts every one with
-|beta| = k + 1 there too, so the later levels are zero.
+counts it once for every residue alpha; the residues of each sum |alpha|
+are counted by inclusion-exclusion, not enumerated.  The walk stops at
+the first zero kernel: a zero kernel at level k puts every
+x^(alpha + m*beta) with |beta| = k in the ideal, and multiplying by each
+x_i^m puts every one with |beta| = k + 1 there too, so the later levels
+are zero.
 
 The closed series uses the residue-expanded prefactor
 ((1 - t^m) / (1 - t))^n.  The single-prefactor variant (exponent 1) is also
@@ -146,27 +148,14 @@ def _level_generators(n: int, m: int, j: int, ideal: str) -> list:
     return [[(kappa, c.numerator) for kappa, c in g.terms.items()] for g in gens]
 
 
-def _residues(n: int, m: int, s: int):
-    """The residues alpha in {0..m-1}^n with |alpha| = s, ascending lex, one
-    at a time: the successor raises the last entry i below m - 1 with a
-    positive sum r after it, and packs r - 1 to the right of i."""
-    top = m - 1
-    if not 0 <= s <= n * top:
-        return
-    alpha, i, rest = [0] * n, -1, s
-    while True:
-        for j in range(n - 1, i, -1):
-            alpha[j] = min(top, rest)
-            rest -= alpha[j]
-        yield tuple(alpha)
-        i = n - 1
-        while i >= 0 and not (rest and alpha[i] < top):
-            rest += alpha[i]
-            i -= 1
-        if i < 0:
-            return
-        alpha[i] += 1
-        rest -= 1
+def _residue_count(n: int, m: int, s: int) -> int:
+    """The number of residues alpha in {0..m-1}^n with |alpha| = s, by
+    inclusion-exclusion over the j entries that reach m: 0 outside
+    0 <= s <= n*(m-1), and C(s+n-1, n-1) for s < m."""
+    return sum(
+        (-1) ** j * comb(n, j) * comb(s - j * m + n - 1, n - 1)
+        for j in range(min(n, s // m) + 1)
+    )
 
 
 def _block_kernel_dim(n, m, k, ideal, max_entries, generators) -> int:
@@ -176,15 +165,16 @@ def _block_kernel_dim(n, m, k, ideal, max_entries, generators) -> int:
     Its columns are x^(m*beta) with |beta| = k, and its rows the products
     X^(m*beta') * g, one for each generator g of degree m*j and each
     |beta'| = k - j, each stored as {column of nu: coefficient of X^nu in
-    X^(m*beta') * g}.  The block's size, rows times columns, is counted
-    before anything is built.  ``generators`` holds the generators built
-    so far, by level j.
+    X^(m*beta') * g}.  The level is charged (rows + n) * columns before
+    anything is built: the rows, and the n-entry exponent vector that
+    indexes each column.  ``generators`` holds the generators built so
+    far, by level j.
     """
     ncols = comb(n + k - 1, k)
     nrows = sum(
         count * comb(n + k - j - 1, k - j) for j, count in _level_counts(n, k, ideal)
     )
-    if nrows * ncols > max_entries:
+    if (nrows + n) * ncols > max_entries:
         raise ResourceLimitError(
             f"kernel system for n={n}, m={m}, degree={m * k} "
             f"exceeds cap of {max_entries} entries"
@@ -218,11 +208,11 @@ def coinvariant_kernel_dim(
     """Dimension of the homogeneous polynomials of the given degree that are
     annihilated by every ideal generator applied as a differential operator:
     for each residue sum s = degree - m*k, level k's kernel dimension times
-    the number of residues of sum s."""
+    the number of residues of sum s, counted in closed form."""
     generators: list = []
     return sum(
         _block_kernel_dim(n, m, (degree - s) // m, ideal, max_entries, generators)
-        * sum(1 for _ in _residues(n, m, s))
+        * _residue_count(n, m, s)
         for s in range(degree % m, min(degree, n * (m - 1)) + 1, m)
     )
 
@@ -256,5 +246,7 @@ def kernel_dims_until_zero(
             f"quotient for n={n}, m={m}, ideal={ideal} "
             f"did not terminate by degree {safety}"
         )
-    residues = [sum(1 for _ in _residues(n, m, s)) for s in range(top + 1)]
-    return _poly_mul(residues, zero_residue)
+    residues = [_residue_count(n, m, s) for s in range(top + 1)]
+    # _poly_mul skips the zero entries of its first factor, so with the
+    # zero residue's series first the product costs levels * (top + 1).
+    return _poly_mul(zero_residue, residues)

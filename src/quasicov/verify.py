@@ -1,7 +1,7 @@
 """Named verification suites with machine-readable pass/fail checks.
 
-Each suite takes (n, m) and both resource caps, ignoring a cap it does
-not use, and returns a list of check dicts {"name", "expected", "actual",
+Each suite takes (n, m) and the resource cap, which ``ppp`` does not
+use, and returns a list of check dicts {"name", "expected", "actual",
 "pass"}; a suite passes when every check does.  All suites are
 deterministic: random sampling is done with a fixed seed.
 """
@@ -49,7 +49,7 @@ def _check(name, expected, actual):
     return {"name": name, "expected": expected, "actual": actual, "pass": expected == actual}
 
 
-def suite_propu(n, m, *, max_group_order, max_kernel_entries):
+def suite_propu(n, m, *, max_kernel_entries):
     """Quasi-invariant dimensions by degree: the degree-d fixed space has one
     dimension per composition of d/m into at most n parts, none when m
     does not divide d."""
@@ -61,7 +61,7 @@ def suite_propu(n, m, *, max_group_order, max_kernel_entries):
     return checks
 
 
-def suite_ppp(n, m, *, max_group_order, max_kernel_entries):
+def suite_ppp(n, m, *, max_kernel_entries):
     """Power substitution commutes with reduced-basis extraction: the m = 1
     basis under x_i -> x_i^m equals Buchberger on the (n, m) generators."""
     substituted = substitute_basis_power(quasi_ideal_basis(n, 1), m)
@@ -75,7 +75,7 @@ def suite_ppp(n, m, *, max_group_order, max_kernel_entries):
     ]
 
 
-def suite_main(n, m, *, max_group_order, max_kernel_entries):
+def suite_main(n, m, *, max_kernel_entries):
     """Quotient dimension m^n * catalan(n) by every available route."""
     target = m**n * catalan(n)
     vectors = quotient_basis(n, m, max_entries=max_kernel_entries)
@@ -92,7 +92,7 @@ def suite_main(n, m, *, max_group_order, max_kernel_entries):
     return checks
 
 
-def suite_hilbert(n, m, *, max_group_order, max_kernel_entries):
+def suite_hilbert(n, m, *, max_kernel_entries):
     """Graded dimensions: standard monomials vs closed series vs kernel
     oracle, plus the flagged single-prefactor variant."""
     sms = standard_monomials(quasi_ideal_basis(n, m))
@@ -132,7 +132,7 @@ def suite_hilbert(n, m, *, max_group_order, max_kernel_entries):
     return checks
 
 
-def suite_chevalley(n, m, *, max_group_order, max_kernel_entries):
+def suite_chevalley(n, m, *, max_kernel_entries):
     """The classical quotient has dimension m^n * n!."""
     target = m**n * factorial(n)
     sms = standard_monomials(classical_ideal_basis(n, m))
@@ -146,7 +146,7 @@ def suite_chevalley(n, m, *, max_group_order, max_kernel_entries):
     return checks
 
 
-def suite_action_axioms(n, m, *, max_group_order, max_kernel_entries):
+def suite_action_axioms(n, m, *, max_kernel_entries):
     """(gh) acts as g after h, for both actions, over the whole group; the
     weight is multiplicative; at least MIN_MONOMIALS distinct random
     monomials are exercised.  The |G|^2 pairs count against the cap.
@@ -168,7 +168,7 @@ def suite_action_axioms(n, m, *, max_group_order, max_kernel_entries):
             f"action axioms for n={n}, m={m} need {count_text(pairs)} element pairs, "
             f"exceeding cap of {max_kernel_entries}"
         )
-    elements = enumerate_group(n, m, max_order=max_group_order)
+    elements = enumerate_group(n, m)
     rng = random.Random(ACTION_SEED)
     # exponent range wide enough that MIN_MONOMIALS distinct monomials exist
     upper = 5
@@ -219,9 +219,7 @@ SUITES = {
 }
 
 
-def run_suite(name, n, m, *, max_group_order, max_kernel_entries):
+def run_suite(name, n, m, *, max_kernel_entries):
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    return SUITES[name](
-        n, m, max_group_order=max_group_order, max_kernel_entries=max_kernel_entries
-    )
+    return SUITES[name](n, m, max_kernel_entries=max_kernel_entries)

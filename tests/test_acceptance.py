@@ -12,7 +12,7 @@ import sys
 import time
 from math import comb, factorial
 
-from quasicov.errors import DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MATRIX_ENTRIES
+from quasicov.errors import DEFAULT_MAX_MATRIX_ENTRIES
 from quasicov.group import (
     enumerate_group,
     fixed_space_dimension,
@@ -39,7 +39,7 @@ from quasicov.scalars import Cyclotomic
 from quasicov.verify import suite_action_axioms, suite_chevalley
 
 GRID = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
-CAPS = dict(max_group_order=DEFAULT_MAX_GROUP_ORDER, max_kernel_entries=DEFAULT_MAX_MATRIX_ENTRIES)
+CAPS = dict(max_kernel_entries=DEFAULT_MAX_MATRIX_ENTRIES)
 
 
 def acceptance(label):

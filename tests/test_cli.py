@@ -241,17 +241,6 @@ def test_failed_check_exits_1_and_names_it_on_stderr(capsys, monkeypatch):
     assert err == "failed check count_equals_dimension_formula: expected 12, actual 8\n"
 
 
-def test_group_order_cap_in_verify_is_a_resource_limit(capsys, monkeypatch):
-    # force a cap small enough that the action-axioms suite cannot
-    # enumerate the group
-    monkeypatch.setenv("QUASICOV_MAX_GROUP_ORDER", "1")
-    code, out, err = run_cli(
-        ["verify", "--suite", "action-axioms", "--n", "2", "--m", "2"], capsys
-    )
-    assert code == 3
-    assert "resource limit" in err
-
-
 def test_kernel_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("QUASICOV_MAX_KERNEL_ENTRIES", "10")
     code, _, err = run_cli(["dim", "--n", "2", "--m", "2", "--method", "harmonic"], capsys)
@@ -268,13 +257,14 @@ def test_harmonic_dim_runs_inside_the_default_cap(n, m, dimension, capsys):
 
 
 def test_kernel_cap_env_override_counts_each_residue_block(capsys, monkeypatch):
-    """The largest residue block of n = 4 has 64 rows and 35 columns."""
+    """The largest level of n = 4 has 64 rows and 35 columns, each indexed
+    by a 4-entry vector: it is charged (64 + 4) * 35."""
     argv = ["dim", "--n", "4", "--m", "3", "--method", "harmonic"]
-    monkeypatch.setenv("QUASICOV_MAX_KERNEL_ENTRIES", str(64 * 35 - 1))
+    monkeypatch.setenv("QUASICOV_MAX_KERNEL_ENTRIES", str(68 * 35 - 1))
     code, _, err = run_cli(argv, capsys)
     assert code == 3
     assert "resource limit" in err
-    monkeypatch.setenv("QUASICOV_MAX_KERNEL_ENTRIES", str(64 * 35))
+    monkeypatch.setenv("QUASICOV_MAX_KERNEL_ENTRIES", str(68 * 35))
     code, doc, _ = run_json(argv, capsys)
     assert code == 0 and doc["result"]["dimension"] == 1134
 
@@ -284,7 +274,7 @@ def test_unknown_suite_is_a_usage_error(capsys):
         main(["verify", "--suite", "nonsense", "--n", "2", "--m", "2"])
     assert exc.value.code == 2
     with pytest.raises(ValueError) as exc:
-        run_suite("nonsense", 2, 2, max_group_order=1, max_kernel_entries=1)
+        run_suite("nonsense", 2, 2, max_kernel_entries=1)
     assert str(exc.value) == (
         "unknown suite 'nonsense'; choose from "
         "propu, ppp, main, hilbert, chevalley, action-axioms"
@@ -412,6 +402,22 @@ def test_many_variables_reach_a_cap_not_the_recursion_limit(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (3, "")
     assert err.startswith("resource limit:") and "Traceback" not in err
+
+
+def test_harmonic_charges_each_column_vector_before_the_target(capsys, monkeypatch):
+    """Level 1 at m = 1 has one row and n columns, each indexed by an
+    n-entry vector, so n = 4000 is charged 4001 * 4000; the route's cap
+    decides before catalan(n) is computed."""
+    def no_target(n):
+        raise AssertionError("target computed before the route")
+
+    monkeypatch.setattr("quasicov.cli.catalan", no_target)
+    code, out, err = run_cli(["dim", "--n", "4000", "--m", "1", "--method", "harmonic"], capsys)
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource limit: kernel system for n=4000, m=1, degree=1 "
+        "exceeds cap of 1000000 entries\n"
+    )
 
 
 def test_harmonic_residues_are_capped(capsys):

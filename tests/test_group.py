@@ -10,7 +10,7 @@ from test_linalg import dense_rank
 
 from quasicov import group, verify
 from quasicov.cli import main
-from quasicov.errors import DEFAULT_MAX_GROUP_ORDER, DEFAULT_MAX_MATRIX_ENTRIES, ResourceLimitError
+from quasicov.errors import DEFAULT_MAX_MATRIX_ENTRIES, ResourceLimitError
 from quasicov.group import (
     GroupElement,
     _classical_image,
@@ -39,7 +39,7 @@ from quasicov.qsym import compositions_of, elementary_symmetric_power, monomial_
 from quasicov.scalars import Cyclotomic, cyclotomic_polynomial, euler_phi
 
 EXAMPLE_ELEMENT = "tau=3,1,2;weights=1,0,1"
-CAPS = dict(max_group_order=DEFAULT_MAX_GROUP_ORDER, max_kernel_entries=DEFAULT_MAX_MATRIX_ENTRIES)
+CAPS = dict(max_kernel_entries=DEFAULT_MAX_MATRIX_ENTRIES)
 
 
 def test_element_validation():
@@ -143,8 +143,9 @@ def test_enumerate_group():
     assert len(enumerate_group(2, 2)) == 8
     assert len(enumerate_group(3, 3)) == 162
     assert len(set(enumerate_group(3, 3))) == 162
-    with pytest.raises(ResourceLimitError):
-        enumerate_group(3, 3, max_order=100)
+    # 3^5 * 5! = 29,160 elements
+    with pytest.raises(ResourceLimitError, match="group order 29160 exceeds"):
+        enumerate_group(5, 3)
     # 2000! has more digits than Python converts to text
     with pytest.raises(ResourceLimitError, match=r"group order at least 10\^"):
         enumerate_group(2000, 1)

@@ -122,8 +122,13 @@ def test_kernel_dim_examples():
 @pytest.mark.parametrize("m", range(1, 5))
 def test_residues_match_an_itertools_reference(n, m):
     for s in range(-1, n * (m - 1) + 2):
-        expected = [a for a in itertools.product(range(m), repeat=n) if sum(a) == s]
-        assert list(hilbert._residues(n, m, s)) == expected
+        expected = sum(1 for a in itertools.product(range(m), repeat=n) if sum(a) == s)
+        assert hilbert._residue_count(n, m, s) == expected
+
+
+def test_residues_are_counted_not_walked():
+    """Degree 10 at m = 11 is level 0 over the C(1009, 10) residues of sum 10."""
+    assert coinvariant_kernel_dim(1000, 11, 10) == comb(1009, 10)
 
 
 def test_kernel_dim_over_many_variables_does_not_recurse():
@@ -150,12 +155,12 @@ def test_kernel_cap_is_checked_before_enumerating(monkeypatch):
 
 
 def _largest_built_block(monkeypatch, n, m, degree, ideal):
-    """Rows times columns of the largest residue block that
+    """(Rows + n) times columns of the largest level that
     coinvariant_kernel_dim builds, and the dimension it returns."""
     sizes = []
 
     def record(rows, ncols):
-        sizes.append(len(rows) * ncols)
+        sizes.append((len(rows) + n) * ncols)
         return kernel_dimension(rows, ncols)
 
     monkeypatch.setattr(hilbert, "kernel_dimension", record)
@@ -169,9 +174,8 @@ def _largest_built_block(monkeypatch, n, m, degree, ideal):
 def test_kernel_cap_is_the_built_system_size(monkeypatch, ideal, n, m):
     for degree in range(3 * m + 2):
         size, dim = _largest_built_block(monkeypatch, n, m, degree, ideal)
-        if size:
-            with pytest.raises(ResourceLimitError):
-                coinvariant_kernel_dim(n, m, degree, ideal, max_entries=size - 1)
+        with pytest.raises(ResourceLimitError):
+            coinvariant_kernel_dim(n, m, degree, ideal, max_entries=size - 1)
         assert coinvariant_kernel_dim(n, m, degree, ideal, max_entries=size) == dim
 
 
@@ -237,22 +241,28 @@ def test_each_residue_block_carries_the_m_1_series(n, m):
 
 def test_kernel_walk_caps_the_first_residue_before_the_others(monkeypatch):
     """At n = 300 the 2^300 residues exceed the cap before any level is
-    built or any residue enumerated."""
+    built."""
     def build_nothing(*args):
         raise AssertionError("walk started before the residue cap")
 
     monkeypatch.setattr(hilbert, "exponent_vectors", build_nothing)
-    monkeypatch.setattr(hilbert, "_residues", build_nothing)
     with pytest.raises(ResourceLimitError, match=f"has {2**300} residues"):
         kernel_dims_until_zero(300, 2)
 
 
 def test_kernel_walk_cap_is_the_residue_count():
-    """(2,4) has 4^2 = 16 residues, and its largest level has 4 rows and
-    3 columns."""
-    with pytest.raises(ResourceLimitError):
-        kernel_dims_until_zero(2, 4, max_entries=15)
-    assert sum(kernel_dims_until_zero(2, 4, max_entries=16)) == 16 * catalan(2)
+    """(2,5) has 5^2 = 25 residues, and its largest level is charged
+    (4 rows + 2) * 3 columns = 18."""
+    with pytest.raises(ResourceLimitError, match="has 25 residues"):
+        kernel_dims_until_zero(2, 5, max_entries=24)
+    assert sum(kernel_dims_until_zero(2, 5, max_entries=25)) == 25 * catalan(2)
+
+
+def test_the_residue_cap_bounds_the_convolution():
+    """At n = 1 the series of Q[x]/(x^m) is one 1 per degree below m, and
+    the product with the residue counts skips the zero residue's m - 1
+    zeros per level: time linear in m, not m^2."""
+    assert kernel_dims_until_zero(1, 10**5) == [1] * 10**5
 
 
 @pytest.mark.parametrize("ideal", ["quasi", "classical"])
